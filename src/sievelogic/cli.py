@@ -55,10 +55,13 @@ def _render(pairs: Pairs, fmt: str, notes: tuple[str, ...] = ()) -> str:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}", 0, 0)
-    return p.read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}", 0, 0) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read {path}: {reason}", 0, 0) from None
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -238,6 +241,12 @@ _COMMANDS = {
 }
 
 
+def _budget(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sievelogic",
@@ -252,13 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="report format (default: human)",
         )
         p.add_argument(
-            "--no-parallel", action="store_true",
-            help="force the sequential engine (the default; kept for "
-                 "interface stability)",
-        )
-        p.add_argument(
-            "--guard", type=int, default=DEFAULT_NODE_BUDGET,
-            help="override the search size guard (backtracking node budget)",
+            "--guard", type=_budget, default=DEFAULT_NODE_BUDGET,
+            help="override the search size guard (backtracking node budget, "
+                 "an integer >= 1)",
         )
     return parser
 

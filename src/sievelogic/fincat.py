@@ -1,14 +1,19 @@
 """Finite categories with eager, total validation.
 
 A category is stored as explicit object and arrow tokens plus a complete
-composition table. Everything is checked at construction time: identity
-arrows, domain/codomain bookkeeping, the identity laws, and associativity
-over every composable triple. At desk scale this is cheap, and it means
-every other module can trust any :class:`FinCategory` it is handed.
+composition table, checked when it is built, so every other module can
+trust any :class:`FinCategory` it is handed. :func:`build_category`
+validates a user-supplied table: identity arrows, domain/codomain
+bookkeeping, the identity laws, and associativity over every composable
+triple. :func:`thin_category` builds posets and the operator preorder,
+one arrow per related pair: the endpoints fix every composite, so thin
+categories are associative by construction and only reflexivity,
+thinness and transitivity are checked.
 
 Composition order: for ``g: C -> B`` and ``f: B -> A`` the composite is
 ``compose(cat, f, g) = f after g : C -> A``. All modules use this order.
-Arrow identity is nominal (by token); parallel arrows may coexist.
+Arrow identity is nominal (by token); outside thin categories parallel
+arrows may coexist.
 """
 
 from __future__ import annotations
@@ -71,9 +76,9 @@ class Arrow:
 class FinCategory:
     """An immutable, fully validated finite category.
 
-    Instances come from :func:`build_category`, :func:`poset_to_category`
-    or the operator-category builder; nothing mutates them afterwards, so
-    they are safe to share across threads.
+    Instances come from :func:`build_category` or :func:`thin_category`;
+    nothing mutates them afterwards, so they are safe to share across
+    threads.
     """
 
     __slots__ = ("objects", "arrows", "identities", "composition", "_by_dom",
@@ -85,13 +90,15 @@ class FinCategory:
         arrows: dict[str, Arrow],
         identities: dict[str, str],
         composition: dict[tuple[str, str], str],
-        by_dom: dict[str, tuple[Arrow, ...]],
     ):
         self.objects = objects
         self.arrows = arrows
         self.identities = identities
         self.composition = composition
-        self._by_dom = by_dom
+        by_dom: dict[str, list[Arrow]] = {obj: [] for obj in objects}
+        for a in arrows.values():
+            by_dom[a.dom].append(a)
+        self._by_dom = {obj: tuple(sorted(lst, key=lambda a: a.id)) for obj, lst in by_dom.items()}
         self._identity_ids = frozenset(identities.values())
 
     def __repr__(self) -> str:
@@ -145,6 +152,26 @@ def compose(cat: FinCategory, f: Arrow, g: Arrow) -> Arrow:
     return cat.arrows[cat.composition[(f.id, g.id)]]
 
 
+def _tokens(
+    objects: Iterable[str], arrows: Iterable[Arrow]
+) -> tuple[tuple[str, ...], dict[str, Arrow]]:
+    """Objects and arrows by token, rejecting duplicate and dangling tokens."""
+    objs = tuple(objects)
+    obj_set = set(objs)
+    if len(obj_set) != len(objs):
+        raise CategoryError("duplicate object tokens")
+    arrow_map: dict[str, Arrow] = {}
+    for a in arrows:
+        if a.id in arrow_map:
+            raise CategoryError(f"duplicate arrow token {a.id!r}")
+        if a.dom not in obj_set:
+            raise UnknownObject(f"arrow {a.id!r} has unknown domain {a.dom!r}")
+        if a.cod not in obj_set:
+            raise UnknownObject(f"arrow {a.id!r} has unknown codomain {a.cod!r}")
+        arrow_map[a.id] = a
+    return objs, arrow_map
+
+
 def build_category(
     objects: Iterable[str],
     arrows: Iterable[Arrow],
@@ -159,21 +186,7 @@ def build_category(
     AssociativityViolation or IdentityLawViolation, naming the offending
     arrows.
     """
-    objs = tuple(objects)
-    if len(set(objs)) != len(objs):
-        raise CategoryError("duplicate object tokens")
-    obj_set = set(objs)
-
-    arrow_map: dict[str, Arrow] = {}
-    for a in arrows:
-        if a.id in arrow_map:
-            raise CategoryError(f"duplicate arrow token {a.id!r}")
-        if a.dom not in obj_set:
-            raise UnknownObject(f"arrow {a.id!r} has unknown domain {a.dom!r}")
-        if a.cod not in obj_set:
-            raise UnknownObject(f"arrow {a.id!r} has unknown codomain {a.cod!r}")
-        arrow_map[a.id] = a
-
+    objs, arrow_map = _tokens(objects, arrows)
     ident: dict[str, str] = {}
     for obj in objs:
         if obj not in identities:
@@ -229,14 +242,10 @@ def build_category(
                     f"violates the identity law (expected {forced!r})"
                 )
 
-    by_dom: dict[str, list[Arrow]] = {obj: [] for obj in objs}
-    for a in arrow_map.values():
-        by_dom[a.dom].append(a)
-    by_dom_sorted = {obj: tuple(sorted(lst, key=lambda a: a.id)) for obj, lst in by_dom.items()}
-
+    cat = FinCategory(objs, arrow_map, ident, table)
     # Totality on composable pairs.
     for g in arrow_map.values():
-        for f in by_dom_sorted[g.cod]:
+        for f in arrows_from(cat, g.cod):
             if (f.id, g.id) not in table:
                 raise CompositionDomainMismatch(
                     f"no composite defined for {f.id!r} after {g.id!r}"
@@ -244,9 +253,9 @@ def build_category(
 
     # Associativity over every composable triple.
     for h in arrow_map.values():
-        for g in by_dom_sorted[h.cod]:
+        for g in arrows_from(cat, h.cod):
             gh = table[(g.id, h.id)]
-            for f in by_dom_sorted[g.cod]:
+            for f in arrows_from(cat, g.cod):
                 fg = table[(f.id, g.id)]
                 if table[(fg, h.id)] != table[(f.id, gh)]:
                     raise AssociativityViolation(
@@ -254,7 +263,46 @@ def build_category(
                         f"{f.id!r} after ({g.id!r} after {h.id!r})"
                     )
 
-    return FinCategory(objs, arrow_map, ident, table, by_dom_sorted)
+    return cat
+
+
+def thin_category(objects: Iterable[str], arrows: Iterable[Arrow]) -> FinCategory:
+    """The thin category with one arrow per related pair of objects.
+
+    ``arrows`` holds exactly one arrow per related pair ``(dom, cod)``,
+    identities ``(p, p)`` included. The composite of ``f: p -> q`` and
+    ``g: q -> r`` is the arrow ``p -> r``, read off the endpoints over the
+    composable pairs only. Raises MissingIdentity unless the relation is
+    reflexive, and CategoryError if it is not thin or not transitive.
+    """
+    objs, arrow_map = _tokens(objects, arrows)
+    between: dict[tuple[str, str], str] = {}
+    for a in arrow_map.values():
+        other = between.setdefault((a.dom, a.cod), a.id)
+        if other != a.id:
+            raise CategoryError(
+                f"not thin: {other!r} and {a.id!r} both go {a.dom!r} -> {a.cod!r}"
+            )
+
+    identities: dict[str, str] = {}
+    for obj in objs:
+        if (obj, obj) not in between:
+            raise MissingIdentity(f"object {obj!r} has no identity arrow")
+        identities[obj] = between[(obj, obj)]
+
+    # The table is filled in before the category is handed out.
+    composition: dict[tuple[str, str], str] = {}
+    cat = FinCategory(objs, arrow_map, identities, composition)
+    for f in arrow_map.values():
+        for g in arrows_from(cat, f.cod):
+            h = between.get((f.dom, g.cod))
+            if h is None:
+                raise CategoryError(
+                    f"transitivity fails: {f.dom!r} -> {f.cod!r} -> {g.cod!r} "
+                    f"but no arrow {f.dom!r} -> {g.cod!r}"
+                )
+            composition[(g.id, f.id)] = h
+    return cat
 
 
 def poset_to_category(
@@ -268,47 +316,16 @@ def poset_to_category(
     Raises NotAPoset with a witness on any axiom failure.
     """
     elems = tuple(elements)
-    if len(set(elems)) != len(elems):
-        raise NotAPoset("duplicate elements")
-    elem_set = set(elems)
-
-    rel = set()
-    for p, q in leq_relation:
-        if p not in elem_set or q not in elem_set:
-            raise NotAPoset(f"relation mentions unknown element in ({p!r}, {q!r})")
-        rel.add((p, q))
-    for p in elems:
-        rel.add((p, p))
-
+    # Pairs left after the identities, unknown elements included, become
+    # arrows; the thin constructor rejects those with unknown endpoints.
+    rel = set(leq_relation) - {(p, p) for p in elems}
     for p, q in rel:
         if p != q and (q, p) in rel:
             raise NotAPoset(f"antisymmetry fails: {p!r} <= {q!r} and {q!r} <= {p!r}")
-    for p, q in rel:
-        for r in elems:
-            if (q, r) in rel and (p, r) not in rel:
-                raise NotAPoset(
-                    f"transitivity fails: {p!r} <= {q!r} <= {r!r} but not {p!r} <= {r!r}"
-                )
 
-    arrows = []
-    identities = {}
-    for p in elems:
-        ia = Arrow(f"id_{p}", p, p)
-        arrows.append(ia)
-        identities[p] = ia.id
-    arrow_of: dict[tuple[str, str], str] = {(p, p): f"id_{p}" for p in elems}
-    for p, q in sorted(rel):
-        if p != q:
-            a = Arrow(f"{p}->{q}", p, q)
-            arrows.append(a)
-            arrow_of[(p, q)] = a.id
-
-    # Thinness makes composition forced: the composite of p<=q and q<=r is
-    # the unique arrow p -> r.
-    table = {}
-    for (p, q) in rel:
-        for (q2, r) in rel:
-            if q2 == q:
-                table[(arrow_of[(q, r)], arrow_of[(p, q)])] = arrow_of[(p, r)]
-
-    return build_category(elems, arrows, identities, table)
+    arrows = [Arrow(f"id_{p}", p, p) for p in elems]
+    arrows += [Arrow(f"{p}->{q}", p, q) for p, q in sorted(rel)]
+    try:
+        return thin_category(elems, arrows)
+    except CategoryError as exc:
+        raise NotAPoset(str(exc)) from None

@@ -87,7 +87,10 @@ def make_presheaf(
 
 
 @dataclass(frozen=True)
-class PresheafCheck:
+class Check:
+    """The outcome of a diagnostic check; falsy on failure, with a witness
+    naming what failed."""
+
     ok: bool
     witness: str | None = None
 
@@ -95,36 +98,36 @@ class PresheafCheck:
         return self.ok
 
 
-def validate_presheaf(x: Presheaf) -> PresheafCheck:
+def validate_presheaf(x: Presheaf) -> Check:
     """Diagnostic functor-law check: identities act as identities and the
     map of a composite is the composite of the maps. Never raises; the
     witness names the first offending arrow (pair)."""
     cat = x.cat
     for obj in cat.objects:
         if obj not in x.object_sets:
-            return PresheafCheck(False, f"no element set for object {obj!r}")
+            return Check(False, f"no element set for object {obj!r}")
     for a in cat.arrows.values():
         m = x.arrow_maps.get(a.id)
         if m is None:
-            return PresheafCheck(False, f"no map for arrow {a.id!r}")
+            return Check(False, f"no map for arrow {a.id!r}")
         if set(m.keys()) != set(x.object_sets[a.dom]):
-            return PresheafCheck(False, f"map of {a.id!r} is not total on its domain")
+            return Check(False, f"map of {a.id!r} is not total on its domain")
         for v in m.values():
             if v not in x.object_sets[a.cod]:
-                return PresheafCheck(False, f"map of {a.id!r} leaves its codomain")
+                return Check(False, f"map of {a.id!r} leaves its codomain")
     for obj, iid in cat.identities.items():
         m = x.arrow_maps[iid]
         for e in x.object_sets[obj]:
             if m[e] != e:
-                return PresheafCheck(False, f"identity law fails at {obj!r} on {e!r}")
+                return Check(False, f"identity law fails at {obj!r} on {e!r}")
     for (f_id, g_id), h_id in cat.composition.items():
         mf, mg, mh = x.arrow_maps[f_id], x.arrow_maps[g_id], x.arrow_maps[h_id]
         for e in x.object_sets[cat.arrows[g_id].dom]:
             if mf[mg[e]] != mh[e]:
-                return PresheafCheck(
+                return Check(
                     False, f"composition law fails for {f_id!r} after {g_id!r} on {e!r}"
                 )
-    return PresheafCheck(True)
+    return Check(True)
 
 
 def terminal_presheaf(cat: FinCategory) -> Presheaf:
@@ -153,16 +156,7 @@ class NaturalTransformation:
     components: dict[str, dict]
 
 
-@dataclass(frozen=True)
-class NaturalityCheck:
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_natural(nt: NaturalTransformation) -> NaturalityCheck:
+def is_natural(nt: NaturalTransformation) -> Check:
     """True iff every square commutes; the witness names the failing arrow."""
     x, y = nt.source, nt.target
     if x.cat is not y.cat and x.cat.arrows != y.cat.arrows:
@@ -183,8 +177,8 @@ def is_natural(nt: NaturalTransformation) -> NaturalityCheck:
         xm, ym = x.arrow_maps[a.id], y.arrow_maps[a.id]
         for e in x.object_sets[a.dom]:
             if ym[n_dom[e]] != n_cod[xm[e]]:
-                return NaturalityCheck(False, a.id)
-    return NaturalityCheck(True)
+                return Check(False, a.id)
+    return Check(True)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,9 @@ def diamond():
     )
 
 
-PLAIN_CATEGORY_FIXTURES = [
-    "one_object", "two_free", "chain2", "chain3", "antichain2", "vposet", "diamond",
-]
+POSET_FIXTURES = ["chain2", "chain3", "antichain2", "vposet", "diamond"]
+
+PLAIN_CATEGORY_FIXTURES = ["one_object", "two_free"] + POSET_FIXTURES
 
 
 # --- spectral operators and their categories --------------------------------
@@ -140,6 +140,23 @@ def generated_scenarios():
     from genscen import random_closed_scenario
 
     return [random_closed_scenario(seed) for seed in range(50)]
+
+
+@pytest.fixture(scope="session")
+def generated_categories(generated_scenarios):
+    return [g.category for g in generated_scenarios]
+
+
+# Every thin operator category the suite builds: the small fixtures, the
+# Cabello-18 scenario and the seeded generated scenarios.
+THIN_OPERATOR_FIXTURES = OPERATOR_CATEGORY_FIXTURES + ["cabello", "generated_categories"]
+
+
+@pytest.fixture
+def operator_categories(request):
+    """Indirection fixture: the operator categories of a fixture, as a list."""
+    value = request.getfixturevalue(request.param)
+    return value if isinstance(value, list) else [value]
 
 
 @pytest.fixture

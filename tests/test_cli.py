@@ -1,8 +1,14 @@
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import sievelogic
 from sievelogic.cli import main
 from sievelogic.scenario import bundled_fixture
 
@@ -76,6 +82,25 @@ def test_parse_error_exit_code(tmp_path):
 def test_missing_file_is_parse_failure():
     code, out = run_cli("validate", "no/such/file.scn")
     assert code == 2
+
+
+def test_directory_is_parse_failure(tmp_path):
+    code, out = run_cli("validate", str(tmp_path), "--format", "record")
+    assert code == 2
+    rec = record_dict(out)
+    assert rec["error"] == "ParseError"
+    assert "cannot read" in rec["detail"]
+
+
+def test_non_utf8_file_is_parse_failure(tmp_path):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes("DIM 2\nOPERATOR \u00e9\n".encode("latin-1"))
+    code, out = run_cli("heyting", str(bad), "--format", "record")
+    assert code == 2
+    rec = record_dict(out)
+    assert rec["error"] == "ParseError"
+    assert "cannot read" in rec["detail"]
+    assert "utf-8" in rec["detail"]
 
 
 # --- category ----------------------------------------------------------------
@@ -173,11 +198,12 @@ def test_ks_search_guard_exit():
     assert "guard: 3" in out
 
 
-def test_ks_search_no_parallel_flag_accepted():
-    code_a, out_a = run_cli("ks-search", SIGMA_Z, "--no-parallel")
-    code_b, out_b = run_cli("ks-search", SIGMA_Z)
-    assert code_a == code_b == 0
-    assert out_a == out_b
+@pytest.mark.parametrize("guard", ["0", "-5", "x"])
+def test_guard_below_one_rejected_at_parsing(guard, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("ks-search", SIGMA_Z, "--guard", guard)
+    assert exc.value.code == 2
+    assert "--guard" in capsys.readouterr().err
 
 
 # --- heyting -----------------------------------------------------------------
@@ -276,3 +302,40 @@ def test_human_certificate_note(tmp_path):
     assert code == 0
     assert "sections: 0" in out
     assert "KS obstruction certified" in out
+
+
+_HASHSEED_SCRIPT = """
+import json, sys
+from sievelogic.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    sys.stdout.write(f"exit {code}\\n")
+"""
+
+
+def _reports_under_hashseed(seed: int, argvs: list[list[str]]) -> str:
+    src = str(Path(sievelogic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _HASHSEED_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, check=True,
+    )
+    return done.stdout.decode("utf-8")
+
+
+def test_reports_identical_across_hash_seeds():
+    argvs = [
+        [command, path, "--format", fmt]
+        for command, path in [
+            ("category", SIGMA_Z), ("category", SIGMA_ZX), ("category", CABELLO),
+            ("ks-search", SIGMA_Z), ("ks-search", SIGMA_ZX), ("ks-search", CABELLO),
+            ("heyting", SIGMA_Z), ("heyting", SIGMA_ZX),
+            ("heyting", SIERPINSKI), ("heyting", VPOSET_TOP),
+        ]
+        for fmt in ("human", "record")
+    ]
+    outputs = [_reports_under_hashseed(seed, argvs) for seed in (0, 1, 2)]
+    assert outputs[0].count("exit 0\n") == len(argvs)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

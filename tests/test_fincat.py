@@ -3,6 +3,7 @@ import pytest
 from sievelogic.fincat import (
     Arrow,
     AssociativityViolation,
+    CategoryError,
     CompositionDomainMismatch,
     IdentityLawViolation,
     MissingIdentity,
@@ -13,9 +14,10 @@ from sievelogic.fincat import (
     build_category,
     compose,
     poset_to_category,
+    thin_category,
 )
 
-from conftest import ALL_CATEGORY_FIXTURES
+from conftest import ALL_CATEGORY_FIXTURES, POSET_FIXTURES, THIN_OPERATOR_FIXTURES
 
 
 def test_one_object_category(one_object):
@@ -124,6 +126,12 @@ def test_not_a_poset_transitivity():
         poset_to_category(["p", "q", "r"], [("p", "q"), ("q", "r")])
 
 
+@pytest.mark.parametrize("pair", [("p", "x"), ("x", "x")])
+def test_not_a_poset_unknown_element(pair):
+    with pytest.raises(NotAPoset, match="unknown"):
+        poset_to_category(["p", "q"], [pair])
+
+
 def test_unknown_object(chain3):
     with pytest.raises(UnknownObject):
         arrows_from(chain3, "nope")
@@ -151,3 +159,52 @@ def test_identity_laws_exhaustive(fixture_category):
     for a in cat.arrows.values():
         assert cat.compose_ids(cat.identities[a.cod], a.id) == a.id
         assert cat.compose_ids(a.id, cat.identities[a.dom]) == a.id
+
+
+# --- thin constructor ----------------------------------------------------------
+
+def _thin(*pairs):
+    objs = sorted({x for pair in pairs for x in pair})
+    return thin_category(objs, [Arrow(f"{p}{q}", p, q) for p, q in pairs])
+
+
+def test_thin_category_composes_by_endpoints():
+    cat = _thin(("a", "a"), ("b", "b"), ("a", "b"))
+    assert cat.identities == {"a": "aa", "b": "bb"}
+    assert cat.compose_ids("ab", "aa") == "ab"
+    assert cat.compose_ids("bb", "ab") == "ab"
+    assert len(cat.composition) == 4
+
+
+def test_thin_category_allows_cycles():
+    # A preorder, not a poset: a <= b <= a with two distinct arrows.
+    cat = _thin(("a", "a"), ("b", "b"), ("a", "b"), ("b", "a"))
+    assert cat.compose_ids("ba", "ab") == "aa"
+
+
+def test_thin_category_requires_reflexivity():
+    with pytest.raises(MissingIdentity, match="'b'"):
+        _thin(("a", "a"), ("a", "b"))
+
+
+def test_thin_category_rejects_parallel_arrows():
+    arrows = [Arrow("id", "a", "a"), Arrow("f", "a", "a")]
+    with pytest.raises(CategoryError, match="not thin"):
+        thin_category(["a"], arrows)
+
+
+def test_thin_category_requires_transitivity():
+    with pytest.raises(CategoryError, match="transitivity"):
+        _thin(("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"))
+
+
+@pytest.mark.parametrize(
+    "operator_categories", POSET_FIXTURES + THIN_OPERATOR_FIXTURES, indirect=True
+)
+def test_build_category_accepts_thin_tables(operator_categories):
+    for cat in operator_categories:
+        cat = getattr(cat, "base", cat)
+        checked = build_category(
+            cat.objects, cat.arrows.values(), cat.identities, cat.composition
+        )
+        assert checked.composition == cat.composition

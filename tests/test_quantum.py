@@ -1,8 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from sievelogic.exact import identity_matrix, matrix, projector_leq, zero_matrix
+from sievelogic.exact import (
+    identity_matrix,
+    mat_add,
+    matrix,
+    norm_sq,
+    outer_self,
+    projector_leq,
+    vector,
+    zero_matrix,
+)
 from sievelogic.fincat import UnknownObject, arrows_from
 from sievelogic.heyting import (
     empty_sieve,
@@ -26,6 +36,7 @@ from sievelogic.quantum import (
     PartialFunction,
     SieveValuation,
     SpectralAlgebra,
+    SpectralOperator,
     born_prob,
     build_operator_category,
     coarse_graining_presheaf,
@@ -41,9 +52,12 @@ from sievelogic.quantum import (
     spectral_projector,
     spectrum_subsets,
     valuation_transformation,
+    verify_spectral_operator,
 )
+from sievelogic.scenario import bundled_fixture, parse_scenario
 
-from conftest import OPERATOR_CATEGORY_FIXTURES
+from conftest import OPERATOR_CATEGORY_FIXTURES, THIN_OPERATOR_FIXTURES
+from genscen import random_orthogonal_basis
 
 HALF = matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
 
@@ -99,6 +113,77 @@ def test_degenerate_eigenvalue_rank2():
         [(0, [(1, 0, 0), (0, 1, 0)]), (5, [(0, 0, 1)])],
     )
     assert op.projector_of(0) == matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+# --- make_operator against the reference verifier --------------------------
+
+def _assembled(name, dim, eigendata):
+    """The operator make_operator would return, assembled without its checks."""
+    groups = sorted(
+        ((F(v), [vector(x) for x in vecs]) for v, vecs in eigendata), key=lambda g: g[0]
+    )
+    projectors = []
+    for _, vecs in groups:
+        p = zero_matrix(dim)
+        for v in vecs:
+            ns = norm_sq(v)
+            p = mat_add(p, tuple(tuple(e / ns for e in row) for row in outer_self(v)))
+        projectors.append(p)
+    return SpectralOperator(name, dim, tuple(g[0] for g in groups), tuple(projectors))
+
+
+def _fixture_eigendata():
+    for name in ("sigma_z.scn", "sigma_zx.scn", "cabello18.scn"):
+        scn = parse_scenario(bundled_fixture(name).read_text(), name)
+        for decl in scn.operators:
+            yield decl.name, scn.dimension, decl.eigendata
+
+
+def _genscen_eigendata(seed):
+    rng = random.Random(seed)
+    dim = rng.choice([2, 3, 4])
+    basis = random_orthogonal_basis(rng, dim)
+    values = rng.sample(range(-3, 4), rng.randint(1, dim))
+    groups = [[basis[i]] for i in range(len(values))]
+    for v in basis[len(values):]:
+        groups[rng.randrange(len(values))].append(v)
+    return f"g{seed}", dim, list(zip(values, groups))
+
+
+ACCEPTED_EIGENDATA = list(_fixture_eigendata()) + [_genscen_eigendata(s) for s in range(40)]
+
+
+@pytest.mark.parametrize("name,dim,eigendata", ACCEPTED_EIGENDATA)
+def test_make_operator_agrees_with_verifier(name, dim, eigendata):
+    op = make_operator(name, dim, eigendata)
+    verify_spectral_operator(op)
+    assert op == _assembled(name, dim, eigendata)
+
+
+def _overlapping(eigendata):
+    """Add to the first vector of the first group one vector of the last
+    group: orthogonality within groups survives, across them it fails."""
+    groups = [(v, list(vecs)) for v, vecs in eigendata]
+    first, last = groups[0][1], groups[-1][1]
+    first[0] = tuple(a + b for a, b in zip(first[0], last[-1]))
+    return groups
+
+
+OVERLAPPING_EIGENDATA = [("bad", 2, [(1, [(1, 0)]), (2, [(1, 1)])])] + [
+    (name, dim, _overlapping(eigendata))
+    for name, dim, eigendata in ACCEPTED_EIGENDATA
+    if len(eigendata) > 1
+]
+
+
+@pytest.mark.parametrize("name,dim,eigendata", OVERLAPPING_EIGENDATA)
+def test_make_operator_overlap_matches_verifier(name, dim, eigendata):
+    with pytest.raises(NotOrthogonal) as expected:
+        verify_spectral_operator(_assembled(name, dim, eigendata))
+    with pytest.raises(NotOrthogonal) as got:
+        make_operator(name, dim, eigendata)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 # --- functions of operators --------------------------------------------------
@@ -275,12 +360,12 @@ def test_thinness(operator_category):
     assert len(endpoints) == len(set(endpoints))
 
 
-@pytest.mark.parametrize("operator_category", OPERATOR_CATEGORY_FIXTURES, indirect=True)
-def test_arrow_functions_reproduce_codomain(operator_category):
-    ocat = operator_category
-    for a in ocat.base.arrows.values():
-        image = function_of(ocat.operators[a.dom], ocat.arrow_functions[a.id])
-        assert image.structural_key() == ocat.operators[a.cod].structural_key()
+@pytest.mark.parametrize("operator_categories", THIN_OPERATOR_FIXTURES, indirect=True)
+def test_arrow_functions_reproduce_codomain(operator_categories):
+    for ocat in operator_categories:
+        for a in ocat.base.arrows.values():
+            image = function_of(ocat.operators[a.dom], ocat.arrow_functions[a.id])
+            assert image.structural_key() == ocat.operators[a.cod].structural_key()
 
 
 def test_vshape_category_is_v_poset(vshape3):
