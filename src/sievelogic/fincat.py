@@ -73,6 +73,18 @@ class Arrow:
     cod: ObjectId
 
 
+@dataclass(frozen=True)
+class Check:
+    """The outcome of a diagnostic check; falsy on failure, with a witness
+    naming what failed."""
+
+    ok: bool
+    witness: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 class FinCategory:
     """An immutable, fully validated finite category.
 

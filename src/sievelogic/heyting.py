@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import SieveLogicError, SizeLimitExceeded
-from .fincat import FinCategory, Arrow, NotAPoset, UnknownArrow, arrows_from
+from .fincat import Arrow, Check, FinCategory, NotAPoset, UnknownArrow, arrows_from
 
 
 class BaseMismatch(SieveLogicError):
@@ -282,54 +282,55 @@ def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
     )
 
 
-def validate_heyting_table(table: HeytingAlgebraTable) -> tuple[bool, str | None]:
+def validate_heyting_table(table: HeytingAlgebraTable) -> Check:
     """Exhaustively check the distributive-lattice laws, the bounds, the
-    Heyting adjunction and ``neg x = x => 0``. Returns (ok, witness)."""
+    Heyting adjunction and ``neg x = x => 0``. The witness names the first
+    failing law and its elements."""
     els = table.elements
     leq, meet, join, imp = table.leq, table.meet, table.join, table.implies
 
     if table.zero not in els or table.one not in els:
-        return False, "zero or one is not an element"
+        return Check(False, "zero or one is not an element")
     for x in els:
         if not leq[(table.zero, x)]:
-            return False, f"zero not below {x!r}"
+            return Check(False, f"zero not below {x!r}")
         if not leq[(x, table.one)]:
-            return False, f"{x!r} not below one"
+            return Check(False, f"{x!r} not below one")
         if table.neg[x] != imp[(x, table.zero)]:
-            return False, f"neg {x!r} differs from {x!r} => zero"
+            return Check(False, f"neg {x!r} differs from {x!r} => zero")
         if not leq[(x, x)]:
-            return False, f"leq not reflexive at {x!r}"
+            return Check(False, f"leq not reflexive at {x!r}")
         if meet[(x, x)] != x or join[(x, x)] != x:
-            return False, f"idempotence fails at {x!r}"
+            return Check(False, f"idempotence fails at {x!r}")
     for x in els:
         for y in els:
             if leq[(x, y)] and leq[(y, x)] and x != y:
-                return False, f"leq not antisymmetric on {x!r}, {y!r}"
+                return Check(False, f"leq not antisymmetric on {x!r}, {y!r}")
             if leq[(x, y)] != (meet[(x, y)] == x):
-                return False, f"leq/meet disagree on {x!r}, {y!r}"
+                return Check(False, f"leq/meet disagree on {x!r}, {y!r}")
             if leq[(x, y)] != (join[(x, y)] == y):
-                return False, f"leq/join disagree on {x!r}, {y!r}"
+                return Check(False, f"leq/join disagree on {x!r}, {y!r}")
             if meet[(x, y)] != meet[(y, x)] or join[(x, y)] != join[(y, x)]:
-                return False, f"commutativity fails on {x!r}, {y!r}"
+                return Check(False, f"commutativity fails on {x!r}, {y!r}")
             if meet[(x, join[(x, y)])] != x or join[(x, meet[(x, y)])] != x:
-                return False, f"absorption fails on {x!r}, {y!r}"
+                return Check(False, f"absorption fails on {x!r}, {y!r}")
     for x in els:
         for y in els:
             for z in els:
                 if leq[(x, y)] and leq[(y, z)] and not leq[(x, z)]:
-                    return False, f"transitivity fails on {x!r}, {y!r}, {z!r}"
+                    return Check(False, f"transitivity fails on {x!r}, {y!r}, {z!r}")
                 if meet[(meet[(x, y)], z)] != meet[(x, meet[(y, z)])]:
-                    return False, f"meet associativity fails on {x!r}, {y!r}, {z!r}"
+                    return Check(False, f"meet associativity fails on {x!r}, {y!r}, {z!r}")
                 if join[(join[(x, y)], z)] != join[(x, join[(y, z)])]:
-                    return False, f"join associativity fails on {x!r}, {y!r}, {z!r}"
+                    return Check(False, f"join associativity fails on {x!r}, {y!r}, {z!r}")
                 if meet[(x, join[(y, z)])] != join[(meet[(x, y)], meet[(x, z)])]:
-                    return False, f"distributivity fails on {x!r}, {y!r}, {z!r}"
+                    return Check(False, f"distributivity fails on {x!r}, {y!r}, {z!r}")
                 if join[(x, meet[(y, z)])] != meet[(join[(x, y)], join[(x, z)])]:
-                    return False, f"dual distributivity fails on {x!r}, {y!r}, {z!r}"
+                    return Check(False, f"dual distributivity fails on {x!r}, {y!r}, {z!r}")
                 # The adjunction s <= (s1 => s2) iff s meet s1 <= s2.
                 if leq[(x, imp[(y, z)])] != leq[(meet[(x, y)], z)]:
-                    return False, f"adjunction fails on {x!r}, {y!r}, {z!r}"
-    return True, None
+                    return Check(False, f"adjunction fails on {x!r}, {y!r}, {z!r}")
+    return Check(True)
 
 
 def excluded_middle_violations(table: HeytingAlgebraTable) -> tuple:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import SieveLogicError, SizeLimitExceeded
-from .fincat import FinCategory, arrows_from
+from .fincat import Check, FinCategory, arrows_from
 from .heyting import Sieve, all_sieves, principal_sieve, push_sieve
 
 
@@ -84,18 +84,6 @@ def make_presheaf(
         {obj: frozenset(els) for obj, els in object_sets.items()},
         {aid: dict(m) for aid, m in arrow_maps.items()},
     )
-
-
-@dataclass(frozen=True)
-class Check:
-    """The outcome of a diagnostic check; falsy on failure, with a witness
-    naming what failed."""
-
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_presheaf(x: Presheaf) -> Check:
@@ -189,20 +177,20 @@ class Subobject:
     parent: Presheaf
 
 
-def validate_subobject(s: Subobject) -> tuple[bool, str | None]:
+def validate_subobject(s: Subobject) -> Check:
     x, k = s.parent, s.sub
     for obj in x.cat.objects:
         if not k.object_sets.get(obj, frozenset()) <= x.object_sets[obj]:
-            return False, f"subset inclusion fails at {obj!r}"
+            return Check(False, f"subset inclusion fails at {obj!r}")
     for a in x.cat.arrows.values():
         xm = x.arrow_maps[a.id]
         km = k.arrow_maps.get(a.id, {})
         for e in k.object_sets.get(a.dom, frozenset()):
             if xm[e] not in k.object_sets.get(a.cod, frozenset()):
-                return False, f"not closed under {a.id!r} at {e!r}"
+                return Check(False, f"not closed under {a.id!r} at {e!r}")
             if km.get(e) != xm[e]:
-                return False, f"map of {a.id!r} is not the restriction at {e!r}"
-    return True, None
+                return Check(False, f"map of {a.id!r} is not the restriction at {e!r}")
+    return Check(True)
 
 
 def subobject_from_family(parent: Presheaf, family: Mapping[str, Iterable]) -> Subobject:
@@ -214,9 +202,9 @@ def subobject_from_family(parent: Presheaf, family: Mapping[str, Iterable]) -> S
     }
     sub = Presheaf(parent.cat, sets, maps)
     s = Subobject(sub, parent)
-    ok, witness = validate_subobject(s)
-    if not ok:
-        raise NotASubobject(witness)
+    check = validate_subobject(s)
+    if not check:
+        raise NotASubobject(check.witness)
     return s
 
 
@@ -225,9 +213,9 @@ def characteristic_arrow(
 ) -> NaturalTransformation:
     """The classifying arrow of a subobject: at stage ``A`` an element ``x``
     is sent to the sieve of arrows pushing ``x`` into the subobject."""
-    ok, witness = validate_subobject(k)
-    if not ok:
-        raise NotASubobject(witness)
+    check = validate_subobject(k)
+    if not check:
+        raise NotASubobject(check.witness)
     x = k.parent
     cat = x.cat
     if omega is None:

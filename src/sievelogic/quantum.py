@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SieveLogicError
+from .errors import SieveLogicError, SizeLimitExceeded
 from .exact import (
     Matrix,
     Vector,
@@ -45,10 +45,9 @@ from .exact import (
     vector,
     zero_matrix,
 )
-from .fincat import Arrow, FinCategory, UnknownObject, arrows_from, thin_category
+from .fincat import Arrow, Check, FinCategory, UnknownObject, arrows_from, thin_category
 from .heyting import Sieve, push_sieve
 from .presheaf import (
-    Check,
     GlobalSection,
     NaturalTransformation,
     Presheaf,
@@ -381,16 +380,40 @@ class OperatorCategory:
         return self.arrow_functions[arrow_id]
 
 
-def _set_partitions(items: list) -> Iterable[list[list]]:
-    """All set partitions of ``items``, in a deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+# Question closure and arrow discovery both walk the 2^n spectral subsets
+# of n-level operators, touching dim^2 matrix entries per subset. One
+# budget of entries is shared by both steps of a build, and every walk is
+# charged before either step starts.
+MAX_SUBSET_ENTRIES = 1 << 20
+
+
+def _charge_subsets(spent: int, stage: str, op: SpectralOperator, walks: int) -> int:
+    """``spent`` plus ``walks`` walks over the 2^n subsets of ``op``'s
+    spectrum; raises SizeLimitExceeded once that passes the budget."""
+    n = len(op.spectrum)
+    spent += walks * (1 << n) * op.dim * op.dim
+    if spent > MAX_SUBSET_ENTRIES:
+        raise SizeLimitExceeded(
+            f"{stage}: the 2^{n} spectral subsets of operator {op.name!r} "
+            f"(dimension {op.dim}) bring the subset work to {spent} matrix "
+            f"entries, over the guard of {MAX_SUBSET_ENTRIES}"
+        )
+    return spent
+
+
+def _subset_sums(projectors: Sequence[Matrix]) -> Iterable[tuple[int, Matrix]]:
+    """Every nonempty subset of ``projectors`` as (bit mask, sum), depth
+    first: each sum is its parent's plus one projector, and only the sums
+    on the current path stay alive."""
+    n = len(projectors)
+
+    def walk(mask: int, total: Matrix | None, start: int):
+        for i in range(start, n):
+            child = projectors[i] if total is None else mat_add(total, projectors[i])
+            yield mask | 1 << i, child
+            yield from walk(mask | 1 << i, child, i + 1)
+
+    return walk(0, None, 0)
 
 
 def _question_name(op_name: str, delta: Iterable[Fraction]) -> str:
@@ -443,14 +466,25 @@ def build_operator_category(
         structural[candidate.structural_key()] = name
         objects.append(candidate)
 
+    # Closure walks a seed's 2^n subsets and adds at most 2^n yes/no
+    # operators, each with 4 subsets for arrow discovery to walk: 5 walks'
+    # worth. Arrow discovery walks each seed once more.
+    spent = 0
+    for op in seeds:
+        if close_under_questions:
+            spent = _charge_subsets(spent, "question closure", op, 5)
+        spent = _charge_subsets(spent, "arrow discovery", op, 1)
+
     if close_under_questions:
         ident = identity_matrix(dim)
         zero_f, one_f = Fraction(0), Fraction(1)
         for op in seeds:
+            subset_sums = dict(_subset_sums(op.projectors))
+            bit = {a: 1 << i for i, a in enumerate(op.spectrum)}
             for delta in spectrum_subsets(op):
                 if not delta or len(delta) == len(op.spectrum):
                     continue
-                p1 = spectral_projector(op, delta)
+                p1 = subset_sums[sum(bit[a] for a in delta)]
                 p0 = mat_sub(ident, p1)
                 adjoin(
                     SpectralOperator(
@@ -463,41 +497,48 @@ def build_operator_category(
 
     op_by_name = {op.name: op for op in objects}
 
-    # Arrow discovery: an arrow A -> B exists iff some set partition of the
-    # projectors of A sums blockwise to the projector set of B; the blocks
-    # then determine the unique spectrum function, which carries A onto B
-    # by construction. Indexing objects by their projector set makes this
-    # one lookup per partition.
-    by_projector_set: dict[frozenset, list[str]] = {}
-    for op in objects:
-        by_projector_set.setdefault(frozenset(op.projectors), []).append(op.name)
+    # Arrow discovery: B is a function of A iff every projector of B is a
+    # sum of projectors of A. Each distinct projector gets an int id once;
+    # each object then looks up each of its 2^n - 1 subset sums once and
+    # records the mask that hits each projector id. B is a codomain iff all
+    # its projectors are hit. The hitting masks are then disjoint and cover
+    # A (nonzero orthogonal projectors are linearly independent and both
+    # families sum to the identity), so they are the blocks of the unique
+    # spectrum function and nothing needs checking afterwards.
+    interned: dict[Matrix, int] = {}
+    projector_ids = [
+        tuple(interned.setdefault(p, len(interned)) for p in op.projectors)
+        for op in objects
+    ]
+    holders: dict[int, list[int]] = {}
+    for k, ids in enumerate(projector_ids):
+        for pid in ids:
+            holders.setdefault(pid, []).append(k)
 
     arrows: list[Arrow] = []
     functions: dict[str, dict[Fraction, Fraction]] = {}
 
     for a_op in objects:
-        n = len(a_op.spectrum)
-        for partition in _set_partitions(list(range(n))):
-            blocks = []
-            for block in partition:
-                total = a_op.projectors[block[0]]
-                for i in block[1:]:
-                    total = mat_add(total, a_op.projectors[i])
-                blocks.append(total)
-            key = frozenset(blocks)
-            for b_name in by_projector_set.get(key, ()):
-                b_op = op_by_name[b_name]
-                value_of = dict(zip(b_op.projectors, b_op.spectrum))
-                fn: dict[Fraction, Fraction] = {}
-                for block, bp in zip(partition, blocks):
-                    for i in block:
-                        fn[a_op.spectrum[i]] = value_of[bp]
-                if a_op.name == b_name:
-                    aid = f"id_{a_op.name}"
-                else:
-                    aid = f"{a_op.name}->{b_name}"
-                arrows.append(Arrow(aid, a_op.name, b_name))
-                functions[aid] = fn
+        hit: dict[int, int] = {}
+        for mask, total in _subset_sums(a_op.projectors):
+            pid = interned.get(total)
+            if pid is not None:
+                hit[pid] = mask
+        for k in sorted({k for pid in hit for k in holders[pid]}):
+            if not all(pid in hit for pid in projector_ids[k]):
+                continue
+            b_op = objects[k]
+            value = [None] * len(a_op.spectrum)
+            for b, pid in zip(b_op.spectrum, projector_ids[k]):
+                for i in range(len(value)):
+                    if hit[pid] >> i & 1:
+                        value[i] = b
+            if a_op.name == b_op.name:
+                aid = f"id_{a_op.name}"
+            else:
+                aid = f"{a_op.name}->{b_op.name}"
+            arrows.append(Arrow(aid, a_op.name, b_op.name))
+            functions[aid] = dict(zip(a_op.spectrum, value))
 
     base = thin_category([op.name for op in objects], arrows)
     return OperatorCategory(base, op_by_name, functions)
@@ -543,7 +584,12 @@ def nu_state(
 ) -> Sieve:
     """The state-induced truth value of "the quantity lies in delta" at the
     given context: the sieve of arrows whose coarse-grained proposition the
-    state satisfies with certainty (an exact projector fixpoint)."""
+    state satisfies with certainty (an exact projector fixpoint).
+
+    The codomain projector of ``fn(delta)`` is the sum of the context's
+    projectors over ``fn^-1(fn(delta))``, and their ranges are orthogonal,
+    so it fixes the state iff every other projector of the context kills
+    it: one kill test per eigenvalue decides every arrow."""
     name = context.name if isinstance(context, SpectralOperator) else context
     op = ocat.operator(name)
     dset = frozenset(as_fraction(d) for d in delta)
@@ -552,12 +598,15 @@ def nu_state(
         raise NotInSpectrum(f"{sorted(extra)} not in the spectrum of {name!r}")
     if len(state.vector) != op.dim:
         raise DimensionMismatch("state dimension does not match the category")
+    killed = {
+        a: is_zero_vector(mat_vec(p, state.vector))
+        for a, p in zip(op.spectrum, op.projectors)
+    }
     members = set()
     for arrow in arrows_from(ocat.base, name):
         fn = ocat.arrow_functions[arrow.id]
-        image = frozenset(fn[v] for v in dset)
-        projector = spectral_projector(ocat.operators[arrow.cod], image)
-        if mat_vec(projector, state.vector) == state.vector:
+        image = {fn[v] for v in dset}
+        if all(killed[a] for a in op.spectrum if fn[a] not in image):
             members.add(arrow.id)
     return Sieve(name, frozenset(members))
 

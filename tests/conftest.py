@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from sievelogic import quantum
+from sievelogic.errors import SizeLimitExceeded
 from sievelogic.fincat import Arrow, build_category, poset_to_category
 from sievelogic.quantum import (
     build_operator_category,
@@ -127,12 +129,21 @@ OPERATOR_CATEGORY_FIXTURES = [
 ALL_CATEGORY_FIXTURES = PLAIN_CATEGORY_FIXTURES + OPERATOR_CATEGORY_FIXTURES
 
 
+def bundled_category(name: str):
+    return build_scenario_category(
+        parse_scenario(bundled_fixture(name).read_text(), name)
+    )
+
+
 @pytest.fixture(scope="session")
 def cabello():
-    scn = parse_scenario(
-        bundled_fixture("cabello18.scn").read_text(), "cabello18.scn"
-    )
-    return build_scenario_category(scn)
+    return bundled_category("cabello18.scn")
+
+
+@pytest.fixture(scope="session")
+def bundled_categories(cabello):
+    """The categories of every bundled scenario fixture."""
+    return [bundled_category("sigma_z.scn"), bundled_category("sigma_zx.scn"), cabello]
 
 
 @pytest.fixture(scope="session")
@@ -169,3 +180,37 @@ def fixture_category(request):
 @pytest.fixture
 def operator_category(request):
     return request.getfixturevalue(request.param)
+
+
+# --- the subset-walk guard ---------------------------------------------------
+
+def diagonal_operator(name, values):
+    """The diagonal operator with one level per value, in dimension len(values)."""
+    n = len(values)
+    return make_operator(
+        name, n, [(v, [tuple(int(i == j) for j in range(n))]) for i, v in enumerate(values)]
+    )
+
+
+class SubsetWalkStarted(Exception):
+    pass
+
+
+def refuse_subset_walks(monkeypatch):
+    """Make the first subset walk raise, so a build stops right after the
+    guard has either tripped or let it through."""
+    def refuse(projectors):
+        raise SubsetWalkStarted
+    monkeypatch.setattr(quantum, "_subset_sums", refuse)
+
+
+def passes_subset_guard(monkeypatch, ops, close):
+    """Whether building ``ops`` gets past the subset guard, without the walk."""
+    refuse_subset_walks(monkeypatch)
+    try:
+        build_operator_category(ops, close_under_questions=close)
+    except SubsetWalkStarted:
+        return True
+    except SizeLimitExceeded:
+        return False
+    raise AssertionError("the build walked no subsets")

@@ -3,16 +3,19 @@
 These deliberately avoid the code paths they verify: section search is a
 full product-space filter, sieve enumeration is a raw power-set filter
 through the definitional membership test, and the ray-coloring count is
-plain bit twiddling.
+plain bit twiddling. The state-induced sieve is recomputed one arrow at a
+time from the codomain's spectral projector.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from sievelogic.exact import as_fraction, mat_vec
 from sievelogic.fincat import FinCategory, arrows_from
 from sievelogic.heyting import is_sieve
 from sievelogic.presheaf import Presheaf, element_key
+from sievelogic.quantum import OperatorCategory, State, spectral_projector
 
 
 def brute_force_sections(x: Presheaf) -> list[dict]:
@@ -65,3 +68,19 @@ def enumerate_one_per_basis_colorings(
         if all((coloring & m).bit_count() == 1 for m in masks):
             out.append(tuple(coloring >> i & 1 for i in range(n_rays)))
     return out
+
+
+def projector_fixpoint_sieve(
+    ocat: OperatorCategory, state: State, context: str, delta
+) -> frozenset[str]:
+    """Members of the state-induced sieve at ``(context, delta)``: every arrow
+    out of the context whose codomain projector onto the image of delta fixes
+    the state, one projector and one matrix-vector product per arrow."""
+    dset = frozenset(as_fraction(d) for d in delta)
+    members = set()
+    for arrow in arrows_from(ocat.base, context):
+        fn = ocat.arrow_functions[arrow.id]
+        projector = spectral_projector(ocat.operators[arrow.cod], {fn[v] for v in dset})
+        if mat_vec(projector, state.vector) == state.vector:
+            members.add(arrow.id)
+    return frozenset(members)

@@ -204,8 +204,8 @@ def test_criterion_5_heyting_laws(request, vposet):
             cat = getattr(value, "base", value)
             for obj in cat.objects:
                 table = sieve_algebra(cat, obj)
-                ok, witness = validate_heyting_table(table)
-                assert ok, f"{name}.{obj}: {witness}"
+                check = validate_heyting_table(table)
+                assert check, f"{name}.{obj}: {check.witness}"
                 top = principal_sieve(cat, obj)
                 for sv in table.elements:
                     assert sieve_leq(sieve_join(sv, sieve_not(cat, sv)), top)

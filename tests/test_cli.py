@@ -198,6 +198,35 @@ def test_ks_search_guard_exit():
     assert "guard: 3" in out
 
 
+def diagonal_scenario(tmp_path, levels: int, close: bool) -> str:
+    lines = [f"DIM {levels}", "OPERATOR diag"]
+    for i in range(levels):
+        ray = ", ".join("1" if j == i else "0" for j in range(levels))
+        lines.append(f"EIGENVALUE {i + 1} : ({ray})")
+    lines.append("CLOSE on" if close else "CLOSE off")
+    path = tmp_path / f"diag{levels}.scn"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_category_diag9_one_object_one_arrow(tmp_path):
+    code, out = run_cli("category", diagonal_scenario(tmp_path, 9, False), "--format", "record")
+    assert code == 0
+    rd = record_dict(out)
+    assert (rd["objects"], rd["arrows"]) == ("1", "1")
+    assert rd["arrow.0.fn"] == ",".join(f"{v}:{v}" for v in range(1, 10))
+
+
+@pytest.mark.parametrize("close, stage", [(False, "arrow discovery"), (True, "question closure")])
+def test_category_21_levels_exits_3(tmp_path, close, stage):
+    code, out = run_cli("category", diagonal_scenario(tmp_path, 21, close), "--format", "record")
+    assert code == 3
+    rd = record_dict(out)
+    assert rd["error"] == "SizeLimitExceeded"
+    assert rd["detail"].startswith(f"{stage}: the 2^21 spectral subsets of operator 'diag'")
+    assert rd["detail"].endswith(f"over the guard of {1 << 20}")
+
+
 @pytest.mark.parametrize("guard", ["0", "-5", "x"])
 def test_guard_below_one_rejected_at_parsing(guard, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -330,6 +359,7 @@ def test_reports_identical_across_hash_seeds():
         for command, path in [
             ("category", SIGMA_Z), ("category", SIGMA_ZX), ("category", CABELLO),
             ("ks-search", SIGMA_Z), ("ks-search", SIGMA_ZX), ("ks-search", CABELLO),
+            ("valuate", SIGMA_Z), ("valuate", SIGMA_ZX),
             ("heyting", SIGMA_Z), ("heyting", SIGMA_ZX),
             ("heyting", SIERPINSKI), ("heyting", VPOSET_TOP),
         ]

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from sievelogic.errors import SizeLimitExceeded
-from sievelogic.fincat import UnknownArrow, build_category, Arrow, arrows_from
+from sievelogic.fincat import Check, UnknownArrow, build_category, Arrow, arrows_from
 from sievelogic.heyting import (
     BaseMismatch,
     NotATopology,
@@ -266,8 +268,8 @@ def test_upper_set_iff_sieve(vposet):
 def test_sieve_algebra_laws(fixture_category):
     cat = fixture_category
     for obj in cat.objects:
-        ok, witness = validate_heyting_table(sieve_algebra(cat, obj))
-        assert ok, f"{obj}: {witness}"
+        check = validate_heyting_table(sieve_algebra(cat, obj))
+        assert check, f"{obj}: {check.witness}"
 
 
 @pytest.mark.parametrize("fixture_category", ALL_CATEGORY_FIXTURES, indirect=True)
@@ -291,9 +293,19 @@ def discrete2():
 
 def test_discrete_is_boolean():
     table = open_set_heyting(discrete2())
-    ok, witness = validate_heyting_table(table)
-    assert ok, witness
+    check = validate_heyting_table(table)
+    assert check, check.witness
     assert excluded_middle_violations(table) == ()
+
+
+def test_validate_heyting_table_names_failure():
+    table = open_set_heyting(sierpinski())
+    assert validate_heyting_table(table) == Check(True)
+    # Negation that sends everything to the top breaks neg x = x => zero.
+    broken = dataclasses.replace(table, neg={x: table.one for x in table.elements})
+    check = validate_heyting_table(broken)
+    assert isinstance(check, Check) and not check
+    assert check.witness.startswith("neg ")
 
 
 def test_sierpinski_negation():
@@ -313,8 +325,8 @@ def test_negation_of_bounds():
 
 def test_open_set_heyting_laws():
     for topology in (sierpinski(), discrete2()):
-        ok, witness = validate_heyting_table(open_set_heyting(topology))
-        assert ok, witness
+        check = validate_heyting_table(open_set_heyting(topology))
+        assert check, check.witness
 
 
 def test_vposet_topology_matches_sieve_algebra(vposet):
@@ -327,8 +339,8 @@ def test_vposet_topology_matches_sieve_algebra(vposet):
         )
     )
     assert len(table.elements) == 5
-    ok, witness = validate_heyting_table(table)
-    assert ok, witness
+    check = validate_heyting_table(table)
+    assert check, check.witness
     assert frozenset({"q"}) in excluded_middle_violations(table)
     assert len(all_sieves(vposet, "p")) == 5
 

@@ -2,10 +2,15 @@ import pytest
 
 from sievelogic.errors import SizeLimitExceeded
 from sievelogic.heyting import Sieve, is_sieve, principal_sieve
+from sievelogic.fincat import Check
 from sievelogic.presheaf import (
+    Check as PresheafCheck,
     ComponentDomainMismatch,
     NaturalTransformation,
+    NotASubobject,
     NotNatural,
+    Presheaf,
+    Subobject,
     characteristic_arrow,
     check_global_section,
     element_key,
@@ -20,6 +25,7 @@ from sievelogic.presheaf import (
     subobject_from_family,
     terminal_presheaf,
     validate_presheaf,
+    validate_subobject,
 )
 
 from conftest import ALL_CATEGORY_FIXTURES
@@ -186,6 +192,21 @@ def test_characteristic_chain_example(chain2):
     assert is_natural(chi)
     back = subobject_from_arrow(chi)
     assert back.sub.object_sets == k.sub.object_sets
+
+
+def test_validate_subobject_returns_check(chain2):
+    assert PresheafCheck is Check
+    x = arrow_fixture(chain2)
+    assert validate_subobject(subobject_from_family(x, {"q": ["y"]})) == Check(True)
+    # x lies in the family but its image y does not: not closed under p->q.
+    open_family = Presheaf(
+        chain2, {"p": frozenset({"x"}), "q": frozenset()}, {"id_p": {"x": "x"}}
+    )
+    check = validate_subobject(Subobject(open_family, x))
+    assert isinstance(check, Check) and not check
+    assert check.witness == "not closed under 'p->q' at 'x'"
+    with pytest.raises(NotASubobject, match="not closed under 'p->q'"):
+        subobject_from_family(x, {"p": ["x"]})
 
 
 @pytest.mark.parametrize(

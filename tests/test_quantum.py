@@ -3,7 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import sievelogic
+from sievelogic import quantum
+from sievelogic.errors import SizeLimitExceeded
 from sievelogic.exact import (
+    QC,
     identity_matrix,
     mat_add,
     matrix,
@@ -56,8 +60,16 @@ from sievelogic.quantum import (
 )
 from sievelogic.scenario import bundled_fixture, parse_scenario
 
-from conftest import OPERATOR_CATEGORY_FIXTURES, THIN_OPERATOR_FIXTURES
+from conftest import (
+    OPERATOR_CATEGORY_FIXTURES,
+    THIN_OPERATOR_FIXTURES,
+    bundled_category,
+    diagonal_operator,
+    passes_subset_guard,
+    refuse_subset_walks,
+)
 from genscen import random_orthogonal_basis
+from oracles import projector_fixpoint_sieve
 
 HALF = matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
 
@@ -263,6 +275,11 @@ def test_find_arrow_identity(sigma_z):
     assert find_arrow(sigma_z, sigma_z) == {F(1): F(1), F(-1): F(-1)}
 
 
+def test_find_arrow_is_public():
+    assert sievelogic.find_arrow is find_arrow
+    assert "find_arrow" in sievelogic.__all__
+
+
 def test_find_arrow_dimension():
     a = make_operator("a", 2, [(1, [(1, 0)]), (2, [(0, 1)])])
     b = make_operator("b", 3, [(1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
@@ -339,9 +356,7 @@ def test_dimension_mismatch_category(sigma_z):
         build_operator_category([sigma_z, other])
 
 
-@pytest.mark.parametrize("operator_category", OPERATOR_CATEGORY_FIXTURES, indirect=True)
-def test_category_matches_pairwise_find_arrow(operator_category):
-    ocat = operator_category
+def assert_matches_pairwise_find_arrow(ocat):
     names = ocat.base.objects
     endpoints = {(a.dom, a.cod): a.id for a in ocat.base.arrows.values()}
     for a_name in names:
@@ -352,6 +367,58 @@ def test_category_matches_pairwise_find_arrow(operator_category):
             else:
                 aid = endpoints[(a_name, b_name)]
                 assert ocat.arrow_functions[aid] == fn
+
+
+@pytest.mark.parametrize(
+    "operator_categories",
+    OPERATOR_CATEGORY_FIXTURES + ["bundled_categories", "generated_categories"],
+    indirect=True,
+)
+def test_category_matches_pairwise_find_arrow(operator_categories):
+    for ocat in operator_categories:
+        assert_matches_pairwise_find_arrow(ocat)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_diagonal_category_matches_pairwise_find_arrow(n):
+    # An n-level diagonal operator and seeded coarse-grainings of it and of
+    # each other, relabelings and coincident coarse-grainings included.
+    rng = random.Random(n)
+    ops = [diagonal_operator("top", [F(v, 2) for v in rng.sample(range(-9, 10), n)])]
+    for k in range(4):
+        source = rng.choice(ops)
+        targets = rng.sample(range(-5, 6), rng.randint(1, len(source.spectrum)))
+        fn = {a: rng.choice(targets) for a in source.spectrum}
+        ops.append(function_of(source, fn, name=f"g{k}"))
+    assert_matches_pairwise_find_arrow(build_operator_category(ops))
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_subset_guard_trips_before_any_subset_sum(monkeypatch, close):
+    refuse_subset_walks(monkeypatch)
+    stage = "question closure" if close else "arrow discovery"
+    with pytest.raises(SizeLimitExceeded) as info:
+        build_operator_category(
+            [diagonal_operator("wide", list(range(21)))], close_under_questions=close
+        )
+    message = str(info.value)
+    assert message.startswith(f"{stage}: the 2^21 spectral subsets of operator 'wide'")
+    assert message.endswith(f"over the guard of {quantum.MAX_SUBSET_ENTRIES}")
+
+
+def test_subset_guard_budget_is_shared(monkeypatch):
+    # Each 10-level operator fits the budget on its own; the two together
+    # do not, and the one that tips it over is named.
+    a, b = (diagonal_operator(name, list(range(10))) for name in ("a", "b"))
+    assert passes_subset_guard(monkeypatch, [a], True)
+    assert passes_subset_guard(monkeypatch, [b, a], False)
+    with pytest.raises(SizeLimitExceeded, match="question closure: .* 'b'"):
+        build_operator_category([a, b], close_under_questions=True)
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_diag9_passes_subset_guard(monkeypatch, close):
+    assert passes_subset_guard(monkeypatch, [diagonal_operator("d", list(range(9)))], close)
 
 
 @pytest.mark.parametrize("operator_category", OPERATOR_CATEGORY_FIXTURES, indirect=True)
@@ -524,6 +591,33 @@ def test_nu_projector_fixpoint_equals_probability_one(zx_closed):
                         psi, zx_closed.operators[arrow.cod], image
                     ) == 1
                     assert (arrow.id in sieve.members) == certain
+
+
+def assert_nu_matches_projector_fixpoint(ocat, states):
+    for state in states:
+        for name, op in ocat.operators.items():
+            for delta in spectrum_subsets(op):
+                sieve = nu_state(ocat, state, name, delta)
+                assert sieve.members == projector_fixpoint_sieve(ocat, state, name, delta)
+
+
+def test_nu_matches_projector_fixpoint_sigma_zx():
+    scn = parse_scenario(bundled_fixture("sigma_zx.scn").read_text())
+    states = [make_state(v) for v in scn.states.values()]
+    states.append(make_state([2, QC(F(0), F(-3))]))
+    assert_nu_matches_projector_fixpoint(bundled_category("sigma_zx.scn"), states)
+
+
+def test_nu_matches_projector_fixpoint_cabello(cabello):
+    # A ray of the scenario (probabilities 0 and 1 occur, so sieves are
+    # principal, empty and in between) and a vector on no ray.
+    states = [make_state(v) for v in ([1, -1, 1, -1], [1, QC(F(0), F(1)), 2, -1])]
+    assert_nu_matches_projector_fixpoint(cabello, states)
+
+
+def test_nu_matches_projector_fixpoint_generated(generated_scenarios):
+    for g in generated_scenarios[:20]:
+        assert_nu_matches_projector_fixpoint(g.category, g.states)
 
 
 def test_nu_empty_delta_is_empty_sieve(sz_closed):
