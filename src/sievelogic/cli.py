@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(_render(
             [("command", args.command), ("scenario", args.path),
              ("error", "SizeLimitExceeded"), ("detail", str(exc)),
-             ("guard", str(args.guard))], fmt,
+             ("guard", str(exc.limit))], fmt,
         ))
         return 3
     except SieveLogicError as exc:

@@ -11,4 +11,12 @@ class SieveLogicError(Exception):
 
 
 class SizeLimitExceeded(SieveLogicError):
-    """An exact enumeration or search would exceed its configured guard."""
+    """An exact enumeration or search would exceed its configured guard.
+
+    ``limit`` is the value of the guard that tripped, in the unit its
+    message names (arrows, table cells, matrix entries, search nodes).
+    """
+
+    def __init__(self, message: str, limit: int | float):
+        super().__init__(message)
+        self.limit = limit

@@ -109,9 +109,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _dot(row: Iterable[QC], col: Iterable[QC]) -> QC:
+    # Projectors and rays are mostly zeros; a zero factor adds nothing.
     acc = QC_ZERO
     for x, y in zip(row, col):
-        acc = acc + x * y
+        if (x.re or x.im) and (y.re or y.im):
+            acc = acc + x * y
     return acc
 
 

@@ -8,7 +8,12 @@ category a sieve is the same thing as an upper set of codomains, and a
 read-only codomain view is provided for that case.
 
 Sieves are stored as explicit arrow-token sets, never as codomain sets, so
-the same code serves thin and non-thin categories.
+the same code serves thin and non-thin categories. Enumeration and the
+operation tables work on bit masks over ``arrows_from(obj)`` instead: the
+mask of an arrow's post-composites fixes which sets are sieves, and meet,
+join and implication become a few integer operations per pair. The
+per-pair operations (``sieve_meet``, ``sieve_implies``, ...) stay as the
+definitional reference.
 """
 
 from __future__ import annotations
@@ -28,10 +33,14 @@ class NotATopology(SieveLogicError):
     pass
 
 
-# Power-set enumeration cap; fixture categories stay at or below 16
-# outgoing arrows per object, the hard stop at 2**20 subsets matches the
-# package-wide enumeration guard.
+# Sieve enumeration cap; fixture categories stay at or below 16 outgoing
+# arrows per object, the hard stop at 20 matches the package-wide 2**20
+# enumeration guard.
 MAX_OUT_ARROWS = 20
+
+# Heyting-table cap: an algebra of n elements fills n**2 cells in each of
+# its operation tables, so this admits up to 1,024 elements.
+MAX_TABLE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,38 +89,51 @@ def make_sieve(cat: FinCategory, base: str, arrow_ids: Iterable[str]) -> Sieve:
     return Sieve(base, ids)
 
 
-def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
-    """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens.
-
-    Enumerates by filtering the power set of ``arrows_from(obj)``; the
-    closure requirement per arrow is precomputed as a bitmask so each
-    subset check is a couple of integer operations.
-    """
+def _closure_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[int]]:
+    """The arrows out of ``obj`` and, for each arrow ``f``, the bit mask
+    (over that order) of its post-composites ``g after f``; ``f`` itself is
+    one of them. A set is a sieve iff it contains the mask of each member."""
     outs = arrows_from(cat, obj)
-    n = len(outs)
-    if n > MAX_OUT_ARROWS:
+    if len(outs) > MAX_OUT_ARROWS:
         raise SizeLimitExceeded(
-            f"object {obj!r} has {n} outgoing arrows; "
-            f"sieve enumeration is capped at {MAX_OUT_ARROWS}"
+            f"object {obj!r} has {len(outs)} outgoing arrows; "
+            f"sieve enumeration is capped at {MAX_OUT_ARROWS}",
+            MAX_OUT_ARROWS,
         )
     index = {a.id: i for i, a in enumerate(outs)}
-    ext = [0] * n
-    for i, a in enumerate(outs):
+    ext = []
+    for a in outs:
         mask = 0
         for g in arrows_from(cat, a.cod):
             mask |= 1 << index[cat.compose_ids(g.id, a.id)]
-        ext[i] = mask
+        ext.append(mask)
+    return outs, ext
 
-    # required[s] = union of closure masks over the members of s;
-    # s is a sieve iff required[s] is contained in s.
-    required = [0] * (1 << n)
+
+def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
+    """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens.
+
+    Branches on the lowest undecided arrow: taking it in takes in its
+    post-composites, leaving it out leaves out every arrow that has it as a
+    post-composite. Neither choice can contradict an earlier one, since
+    post-composites of post-composites are post-composites, so every leaf
+    is a distinct sieve and the walk costs O(sieves * arrows).
+    """
+    outs, ext = _closure_masks(cat, obj)
+    n = len(outs)
+    below = [sum(1 << j for j in range(n) if ext[j] >> i & 1) for i in range(n)]
+    full = (1 << n) - 1
     found = []
-    for s in range(1 << n):
-        if s:
-            low = s & -s
-            required[s] = required[s ^ low] | ext[low.bit_length() - 1]
-        if required[s] & ~s == 0:
-            found.append(s)
+    stack = [(0, 0)]  # (arrows taken in, arrows left out)
+    while stack:
+        taken, left = stack.pop()
+        free = full & ~(taken | left)
+        if not free:
+            found.append(taken)
+            continue
+        i = (free & -free).bit_length() - 1
+        stack.append((taken, left | below[i]))
+        stack.append((taken | ext[i], left))
 
     sieves = [
         Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1))
@@ -244,41 +266,75 @@ def _set_key(o: frozenset) -> tuple:
     return (len(o), tuple(sorted(o)))
 
 
+def _check_table_size(what: str, elements: int) -> None:
+    cells = elements * elements
+    if cells > MAX_TABLE_CELLS:
+        raise SizeLimitExceeded(
+            f"heyting table: {what} has {elements} elements, so {cells} "
+            f"table cells, over the guard of {MAX_TABLE_CELLS}",
+            MAX_TABLE_CELLS,
+        )
+
+
 def open_set_heyting(topology: FiniteTopology) -> HeytingAlgebraTable:
     """The Heyting algebra of open sets: meet is intersection, join is union,
-    negation is the interior of the complement."""
+    negation is the interior of the complement.
+
+    ``o1 => o2`` is the interior of ``(points - o1) | o2``: the points whose
+    smallest open neighbourhood (the meet of the opens around them) lies
+    inside that set.
+    """
     opens = sorted(topology.opens, key=_set_key)
+    _check_table_size(f"topology on {len(topology.points)} points", len(opens))
     zero = frozenset()
     one = topology.points
+    nbhd = {p: one.intersection(*(o for o in opens if p in o)) for p in one}
     leq, meet, join, implies = {}, {}, {}, {}
     for o1 in opens:
+        outside = one - o1
         for o2 in opens:
-            leq[(o1, o2)] = o1 <= o2
-            meet[(o1, o2)] = o1 & o2
-            join[(o1, o2)] = o1 | o2
-            best = zero
-            for u in opens:
-                if u & o1 <= o2:
-                    best = best | u
-            implies[(o1, o2)] = best
+            key = (o1, o2)
+            leq[key] = o1 <= o2
+            meet[key] = o1 & o2
+            join[key] = o1 | o2
+            allowed = outside | o2
+            implies[key] = frozenset(p for p in one if nbhd[p] <= allowed)
     neg = {o: implies[(o, zero)] for o in opens}
     return HeytingAlgebraTable(tuple(opens), leq, meet, join, implies, neg, zero, one)
 
 
 def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
-    """The Heyting algebra of all sieves on ``obj``, tabulated."""
+    """The Heyting algebra of all sieves on ``obj``, tabulated.
+
+    Each sieve is a bit mask over ``arrows_from(obj)``: ``<=`` is mask
+    containment, meet and join are ``&`` and ``|``, and ``s1 => s2`` keeps
+    the arrows none of whose post-composites lie in ``s1`` but not ``s2``.
+    Every cell holds one of the shared elements, looked up by its mask.
+    """
     sieves = all_sieves(cat, obj)
+    _check_table_size(f"object {obj!r}", len(sieves))
+    outs, ext = _closure_masks(cat, obj)
+    index = {a.id: i for i, a in enumerate(outs)}
+    masks = [sum(1 << index[m] for m in sv.members) for sv in sieves]
+    by_mask = dict(zip(masks, sieves))
+    implied = {}  # m1 & ~m2 -> s1 => s2
     leq, meet, join, implies = {}, {}, {}, {}
-    for s1 in sieves:
-        for s2 in sieves:
-            leq[(s1, s2)] = sieve_leq(s1, s2)
-            meet[(s1, s2)] = sieve_meet(s1, s2)
-            join[(s1, s2)] = sieve_join(s1, s2)
-            implies[(s1, s2)] = sieve_implies(cat, s1, s2)
-    neg = {s: sieve_not(cat, s) for s in sieves}
+    for s1, m1 in zip(sieves, masks):
+        for s2, m2 in zip(sieves, masks):
+            key = (s1, s2)
+            bad = m1 & ~m2
+            leq[key] = not bad
+            meet[key] = by_mask[m1 & m2]
+            join[key] = by_mask[m1 | m2]
+            if bad not in implied:
+                implied[bad] = by_mask[
+                    sum(1 << i for i, e in enumerate(ext) if not e & bad)
+                ]
+            implies[key] = implied[bad]
+    zero = by_mask[0]
+    neg = {s: implies[(s, zero)] for s in sieves}
     return HeytingAlgebraTable(
-        sieves, leq, meet, join, implies, neg,
-        empty_sieve(obj), principal_sieve(cat, obj),
+        sieves, leq, meet, join, implies, neg, zero, by_mask[(1 << len(outs)) - 1],
     )
 
 

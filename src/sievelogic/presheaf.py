@@ -268,7 +268,8 @@ def enumerate_subobjects(
     if total > max_total_elements:
         raise SizeLimitExceeded(
             f"subobject enumeration over 2^{total} families exceeds "
-            f"the 2^{max_total_elements} guard"
+            f"the 2^{max_total_elements} guard",
+            2 ** max_total_elements,
         )
     objs = x.cat.objects
     per_obj: list[list[frozenset]] = []
@@ -380,7 +381,8 @@ def global_section_search(
             nodes += 1
             if nodes > node_budget:
                 raise SizeLimitExceeded(
-                    f"global-section search exceeded its node budget of {node_budget}"
+                    f"global-section search exceeded its node budget of {node_budget}",
+                    node_budget,
                 )
             if any(m[v] != v for m in self_maps[i]):
                 continue
@@ -432,7 +434,8 @@ def enumerate_natural_transformations(
     if bound > max_log2:
         raise SizeLimitExceeded(
             f"transformation enumeration needs 2^{bound:.1f} candidates, "
-            f"over the 2^{max_log2} guard"
+            f"over the 2^{max_log2} guard",
+            2 ** max_log2,
         )
 
     # For the object at position i, the arrows whose squares become fully

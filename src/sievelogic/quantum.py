@@ -396,7 +396,8 @@ def _charge_subsets(spent: int, stage: str, op: SpectralOperator, walks: int) ->
         raise SizeLimitExceeded(
             f"{stage}: the 2^{n} spectral subsets of operator {op.name!r} "
             f"(dimension {op.dim}) bring the subset work to {spent} matrix "
-            f"entries, over the guard of {MAX_SUBSET_ENTRIES}"
+            f"entries, over the guard of {MAX_SUBSET_ENTRIES}",
+            MAX_SUBSET_ENTRIES,
         )
     return spent
 

@@ -2,18 +2,20 @@
 
 These deliberately avoid the code paths they verify: section search is a
 full product-space filter, sieve enumeration is a raw power-set filter
-through the definitional membership test, and the ray-coloring count is
-plain bit twiddling. The state-induced sieve is recomputed one arrow at a
-time from the codomain's spectral projector.
+(through the definitional membership test, and as a closure-mask filter
+over all 2^n subsets), and the ray-coloring count is plain bit twiddling.
+The state-induced sieve is recomputed one arrow at a time from the
+codomain's spectral projector, open-set implication is the union of every
+open that qualifies, and matrix products sum every term, zeros included.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from sievelogic.exact import as_fraction, mat_vec
+from sievelogic.exact import QC_ZERO, Matrix, Vector, as_fraction, mat_vec
 from sievelogic.fincat import FinCategory, arrows_from
-from sievelogic.heyting import is_sieve
+from sievelogic.heyting import FiniteTopology, Sieve, is_sieve
 from sievelogic.presheaf import Presheaf, element_key
 from sievelogic.quantum import OperatorCategory, State, spectral_projector
 
@@ -47,6 +49,56 @@ def power_set_sieves(cat: FinCategory, obj: str) -> set[frozenset]:
         if is_sieve(cat, obj, subset):
             found.add(subset)
     return found
+
+
+def subset_filter_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
+    """Every sieve on obj in ``all_sieves`` order, by walking all 2^n arrow
+    subsets s and keeping those that contain the closure mask of each
+    member."""
+    outs = arrows_from(cat, obj)
+    n = len(outs)
+    assert n <= 18, "oracle only walks 2^18 subsets or fewer"
+    index = {a.id: i for i, a in enumerate(outs)}
+    ext = [0] * n
+    for i, a in enumerate(outs):
+        for g in arrows_from(cat, a.cod):
+            ext[i] |= 1 << index[cat.compose_ids(g.id, a.id)]
+    # required[s] = union of closure masks over the members of s.
+    required = [0] * (1 << n)
+    found = []
+    for s in range(1 << n):
+        if s:
+            low = s & -s
+            required[s] = required[s ^ low] | ext[low.bit_length() - 1]
+        if required[s] & ~s == 0:
+            found.append(Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1)))
+    found.sort(key=lambda sv: sv.sorted_members())
+    return tuple(found)
+
+
+def union_implies(topology: FiniteTopology, o1: frozenset, o2: frozenset) -> frozenset:
+    """``o1 => o2`` in the open-set algebra: the union of every open u with
+    u & o1 <= o2."""
+    best = frozenset()
+    for u in topology.opens:
+        if u & o1 <= o2:
+            best |= u
+    return best
+
+
+def dense_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product, summing every term."""
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(len(b))), QC_ZERO)
+            for j in range(len(b[0]))
+        )
+        for i in range(len(a))
+    )
+
+
+def dense_mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(sum((x * y for x, y in zip(row, v)), QC_ZERO) for row in m)
 
 
 def count_one_per_basis_colorings(n_rays: int, bases: list[tuple[int, ...]]) -> int:

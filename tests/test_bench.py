@@ -1,6 +1,6 @@
 """The benchmark under ``perfbench/`` seen from the test suite: its smoke
 workload runs clean against this checkout, and every input it generates
-stays inside the size guards."""
+stays inside the size guards, as does every bundled fixture."""
 
 import json
 import subprocess
@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from sievelogic.scenario import parse_scenario, scenario_operators
+from sievelogic.heyting import open_set_heyting, sieve_algebra
+from sievelogic.scenario import (
+    build_scenario_category,
+    bundled_fixture,
+    looks_like_topology,
+    parse_scenario,
+    parse_topology,
+    scenario_operators,
+)
 
 from conftest import passes_subset_guard
 
@@ -27,6 +35,26 @@ print(json.dumps([
 ]))
 """
 
+# Prints the name and text of every heyting-tables input, seeds 1-3.
+_HEYTING_SCRIPT = """
+import json, workloads
+print(json.dumps([
+    (req.filename, req.text)
+    for seed in (1, 2, 3)
+    for req in workloads.generate("heyting-tables", seed)
+]))
+"""
+
+_FIXTURES = ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn", "sierpinski.top", "vposet.top"]
+
+
+def _generated(script):
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT / "perfbench", capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout)
+
 
 def test_smoke_workload_runs_clean():
     done = subprocess.run(
@@ -42,11 +70,7 @@ def test_smoke_workload_runs_clean():
 
 @pytest.fixture(scope="module")
 def bench_scenarios():
-    done = subprocess.run(
-        [sys.executable, "-c", _SCENARIOS_SCRIPT],
-        cwd=ROOT / "perfbench", capture_output=True, text=True, check=True, timeout=120,
-    )
-    return [parse_scenario(text) for text in json.loads(done.stdout)]
+    return [parse_scenario(text) for text in _generated(_SCENARIOS_SCRIPT)]
 
 
 def test_bench_inputs_pass_subset_guard(monkeypatch, bench_scenarios):
@@ -54,3 +78,16 @@ def test_bench_inputs_pass_subset_guard(monkeypatch, bench_scenarios):
     for scn in bench_scenarios:
         ops = scenario_operators(scn)
         assert passes_subset_guard(monkeypatch, ops, scn.close_under_questions)
+
+
+def test_heyting_inputs_pass_table_guard():
+    inputs = _generated(_HEYTING_SCRIPT)
+    inputs += [(name, bundled_fixture(name).read_text()) for name in _FIXTURES]
+    assert len(inputs) == 12 + len(_FIXTURES)
+    for name, text in inputs:
+        if looks_like_topology(text):
+            open_set_heyting(parse_topology(text, source=name))
+            continue
+        base = build_scenario_category(parse_scenario(text, source=name)).base
+        for obj in base.objects:
+            sieve_algebra(base, obj)

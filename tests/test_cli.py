@@ -225,6 +225,50 @@ def test_category_21_levels_exits_3(tmp_path, close, stage):
     assert rd["error"] == "SizeLimitExceeded"
     assert rd["detail"].startswith(f"{stage}: the 2^21 spectral subsets of operator 'diag'")
     assert rd["detail"].endswith(f"over the guard of {1 << 20}")
+    assert rd["guard"] == str(1 << 20)
+
+
+def test_category_closed_diag5_reports_the_sieve_cap(tmp_path):
+    # 33 arrows out of the 5-level operator trip the sieve enumeration cap;
+    # the guard line names that cap, not the --guard node budget.
+    code, out = run_cli("category", diagonal_scenario(tmp_path, 5, True))
+    assert code == 3
+    rd = human_dict(out)
+    assert rd["detail"] == "object 'diag' has 33 outgoing arrows; sieve enumeration is capped at 20"
+    assert rd["guard"] == "20"
+
+
+def fan_scenario(tmp_path) -> str:
+    """A 6-level diagonal operator D and 11 distinct yes/no coarse-grainings
+    of it, unclosed: 12 arrows out of D, 2^11 + 1 sieves on it."""
+    def ray(i):
+        return "(" + ", ".join("1" if j == i else "0" for j in range(6)) + ")"
+    lines = ["DIM 6", "OPERATOR D"]
+    lines += [f"EIGENVALUE {i + 1} : {ray(i)}" for i in range(6)]
+    blocks = [{i} for i in range(6)] + [{0, j} for j in range(1, 6)]
+    for k, block in enumerate(blocks):
+        lines.append(f"OPERATOR Q{k}")
+        lines.append("EIGENVALUE 0 : " + ", ".join(ray(i) for i in range(6) if i not in block))
+        lines.append("EIGENVALUE 1 : " + ", ".join(ray(i) for i in sorted(block)))
+    path = tmp_path / "fan11.scn"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_heyting_table_guard_exits_3(tmp_path):
+    path = fan_scenario(tmp_path)
+    code, out = run_cli("category", path, "--format", "record")
+    assert code == 0
+    assert record_dict(out)["object.0.sieves"] == "2049"
+    code, out = run_cli("heyting", path, "--format", "record")
+    assert code == 3
+    rd = record_dict(out)
+    assert rd["error"] == "SizeLimitExceeded"
+    assert rd["detail"] == (
+        "heyting table: object 'D' has 2049 elements, so 4198401 table cells, "
+        "over the guard of 1048576"
+    )
+    assert rd["guard"] == "1048576"
 
 
 @pytest.mark.parametrize("guard", ["0", "-5", "x"])

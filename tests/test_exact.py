@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from sievelogic.exact import (
     QC,
     conj_transpose,
@@ -17,6 +19,8 @@ from sievelogic.exact import (
     vector,
     zero_matrix,
 )
+
+from oracles import dense_mat_mul, dense_mat_vec
 
 
 def test_qc_arithmetic():
@@ -82,3 +86,45 @@ def test_projector_leq():
     assert projector_leq(p, ident)
     assert not projector_leq(ident, p)
     assert projector_leq(p, p)
+
+
+# --- products skip zero factors ---------------------------------------------
+
+_entries = st.builds(
+    QC,
+    st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(-3, 4)]),
+    st.sampled_from([F(0), F(0), F(0), F(1), F(-2, 3)]),
+)
+
+
+@st.composite
+def _square_and_vector(draw):
+    n = draw(st.integers(1, 4))
+    rows = st.lists(_entries, min_size=n, max_size=n).map(tuple)
+    a = draw(st.lists(rows, min_size=n, max_size=n).map(tuple))
+    b = draw(st.lists(rows, min_size=n, max_size=n).map(tuple))
+    return a, b, draw(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_square_and_vector())
+def test_products_match_dense_products(mats):
+    a, b, v = mats
+    assert mat_mul(a, b) == dense_mat_mul(a, b)
+    assert mat_vec(a, v) == dense_mat_vec(a, v)
+
+
+def test_projector_products_match_dense_products(bundled_categories):
+    # Every distinct projector of sigma_z, sigma_zx and Cabello-18 times
+    # itself and times its neighbour in the list, which need not commute.
+    projectors = list(dict.fromkeys(
+        p for ocat in bundled_categories
+        for op in ocat.operators.values() for p in op.projectors
+    ))
+    assert len(projectors) > 90
+    for p, q in zip(projectors, projectors[1:] + projectors[:1]):
+        assert mat_mul(p, p) == dense_mat_mul(p, p) == p
+        if len(p) == len(q):
+            assert mat_mul(p, q) == dense_mat_mul(p, q)
+            for row in q:
+                assert mat_vec(p, row) == dense_mat_vec(p, row)

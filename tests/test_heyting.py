@@ -1,11 +1,23 @@
 import dataclasses
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievelogic.errors import SizeLimitExceeded
-from sievelogic.fincat import Check, UnknownArrow, build_category, Arrow, arrows_from
+from sievelogic.fincat import (
+    Check,
+    UnknownArrow,
+    build_category,
+    Arrow,
+    arrows_from,
+    poset_to_category,
+)
 from sievelogic.heyting import (
+    MAX_OUT_ARROWS,
+    MAX_TABLE_CELLS,
     BaseMismatch,
+    FiniteTopology,
     NotATopology,
     Sieve,
     all_sieves,
@@ -27,7 +39,7 @@ from sievelogic.heyting import (
 )
 
 from conftest import ALL_CATEGORY_FIXTURES
-from oracles import power_set_sieves
+from oracles import power_set_sieves, subset_filter_sieves, union_implies
 
 
 def s(base, *members):
@@ -358,3 +370,157 @@ def test_not_a_topology_union():
 def test_not_a_topology_stray_point():
     with pytest.raises(NotATopology, match="subset"):
         make_topology(["a"], [[], ["a"], ["b"]])
+
+
+# --- the mask kernel against the per-pair reference ---------------------------
+
+# Random finite posets: up to six points, any set of pairs i < j, closed
+# transitively.
+@st.composite
+def posets(draw, max_points=6):
+    n = draw(st.integers(1, max_points))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rel = set(draw(st.sets(pairs.filter(lambda t: t[0] < t[1]))))
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if (i, k) in rel and (k, j) in rel:
+            rel.add((i, j))
+    points = [f"x{i}" for i in range(n)]
+    return points, {(points[i], points[j]) for i, j in rel}
+
+
+_kernel_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def idempotent_fork():
+    """A non-thin category: an idempotent e on A and two parallel arrows
+    f, g: A -> B with f e = g e = f."""
+    arrows = [Arrow("id_A", "A", "A"), Arrow("id_B", "B", "B"), Arrow("e", "A", "A"),
+              Arrow("f", "A", "B"), Arrow("g", "A", "B")]
+    table = {("e", "e"): "e", ("f", "e"): "f", ("g", "e"): "f"}
+    return build_category(["A", "B"], arrows, {"A": "id_A", "B": "id_B"}, table)
+
+
+def assert_table_matches_reference(cat, obj, validate=True):
+    """Every cell of sieve_algebra against the per-pair operations, with
+    every value one of the table's own elements."""
+    table = sieve_algebra(cat, obj)
+    els = table.elements
+    assert els == subset_filter_sieves(cat, obj)
+    assert table.zero == empty_sieve(obj) and table.one == principal_sieve(cat, obj)
+    shared = {id(x) for x in els}
+    assert {id(table.zero), id(table.one)} <= shared
+    for x in els:
+        assert table.neg[x] == sieve_not(cat, x) and id(table.neg[x]) in shared
+        for y in els:
+            key = (x, y)
+            assert table.leq[key] == sieve_leq(x, y)
+            assert table.meet[key] == sieve_meet(x, y)
+            assert table.join[key] == sieve_join(x, y)
+            assert table.implies[key] == sieve_implies(cat, x, y)
+            assert {id(table.meet[key]), id(table.join[key]), id(table.implies[key])} <= shared
+    if validate:
+        check = validate_heyting_table(table)
+        assert check, f"{obj}: {check.witness}"
+
+
+@_kernel_settings
+@given(posets())
+def test_sieve_kernel_matches_reference_on_random_posets(poset):
+    cat = poset_to_category(*poset)
+    for obj in cat.objects:
+        assert all_sieves(cat, obj) == subset_filter_sieves(cat, obj)
+        assert_table_matches_reference(cat, obj)
+
+
+def test_sieve_kernel_matches_reference_on_non_thin_category():
+    cat = idempotent_fork()
+    assert len(all_sieves(cat, "A")) == 7
+    for obj in cat.objects:
+        assert_table_matches_reference(cat, obj)
+
+
+@pytest.mark.parametrize("fixture_category", ALL_CATEGORY_FIXTURES, indirect=True)
+def test_sieve_kernel_matches_reference_on_fixtures(fixture_category):
+    # test_sieve_algebra_laws validates these tables.
+    for obj in fixture_category.objects:
+        assert_table_matches_reference(fixture_category, obj, validate=False)
+
+
+# validate_heyting_table is cubic: one 130-element algebra (a closed
+# four-level context) takes about half a minute, so the law check runs on
+# the smaller algebras only; every cell of the large ones still meets the
+# per-pair reference.
+_VALIDATE_MAX = 40
+
+
+@pytest.mark.parametrize("operator_categories",
+                         ["bundled_categories", "generated_categories"], indirect=True)
+def test_sieve_kernel_matches_reference_on_operator_categories(operator_categories):
+    for ocat in operator_categories:
+        cat = ocat.base
+        for obj in cat.objects:
+            small = len(all_sieves(cat, obj)) <= _VALIDATE_MAX
+            assert_table_matches_reference(cat, obj, validate=small)
+
+
+def upper_set_topology(points, rel):
+    """The Alexandrov topology of a poset: its upper sets."""
+    opens = []
+    for bits in range(1 << len(points)):
+        o = frozenset(p for i, p in enumerate(points) if bits >> i & 1)
+        if all(q in o for p, q in rel if p in o):
+            opens.append(o)
+    return make_topology(points, opens)
+
+
+@_kernel_settings
+@given(posets(max_points=5))
+def test_open_set_implies_matches_union_of_opens(poset):
+    topology = upper_set_topology(*poset)
+    table = open_set_heyting(topology)
+    for x in table.elements:
+        assert table.neg[x] == union_implies(topology, x, frozenset())
+        for y in table.elements:
+            assert table.implies[(x, y)] == union_implies(topology, x, y)
+    check = validate_heyting_table(table)
+    assert check, check.witness
+
+
+# --- the table guard ----------------------------------------------------------
+
+def bottom_under(k):
+    """A bottom point below k pairwise incomparable points."""
+    points = ["b"] + [f"t{i}" for i in range(k)]
+    return poset_to_category(points, [("b", t) for t in points[1:]])
+
+
+def test_table_guard_trips_under_the_out_arrow_cap():
+    # 12 out-arrows pass the enumeration cap, but the 2^11 + 1 sieves would
+    # fill more than 2^20 cells per table.
+    cat = bottom_under(11)
+    assert len(arrows_from(cat, "b")) == 12 <= MAX_OUT_ARROWS
+    assert len(all_sieves(cat, "b")) == 2049
+    with pytest.raises(SizeLimitExceeded) as exc:
+        sieve_algebra(cat, "b")
+    assert exc.value.limit == MAX_TABLE_CELLS
+    assert str(exc.value) == (
+        "heyting table: object 'b' has 2049 elements, so 4198401 table cells, "
+        "over the guard of 1048576"
+    )
+
+
+def test_table_guard_trips_on_topologies():
+    points = frozenset(f"p{i}" for i in range(11))
+    opens = frozenset(
+        frozenset(c) for r in range(12) for c in itertools.combinations(sorted(points), r)
+    )
+    with pytest.raises(SizeLimitExceeded) as exc:
+        open_set_heyting(FiniteTopology(points, opens))
+    assert exc.value.limit == MAX_TABLE_CELLS
+    assert str(exc.value).startswith("heyting table: topology on 11 points has 2048 elements")
+
+
+def test_out_arrow_cap_names_its_limit():
+    with pytest.raises(SizeLimitExceeded) as exc:
+        all_sieves(bottom_under(20), "b")
+    assert exc.value.limit == MAX_OUT_ARROWS

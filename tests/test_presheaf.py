@@ -279,8 +279,9 @@ def test_subobjects_omega_one_object(one_object):
 
 def test_subobjects_guard():
     big = poset_presheaf_guard_case()
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded) as exc:
         enumerate_subobjects(big)
+    assert exc.value.limit == 1 << 20
 
 
 def poset_presheaf_guard_case():
@@ -335,8 +336,16 @@ def test_sections_deterministic(vposet):
 
 
 def test_section_search_node_budget(chain3):
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded) as exc:
         global_section_search(omega_presheaf(chain3), node_budget=2)
+    assert exc.value.limit == 2
+
+
+def test_transformation_enumeration_guard(chain3):
+    om = omega_presheaf(chain3)
+    with pytest.raises(SizeLimitExceeded, match="over the 2\\^1 guard") as exc:
+        enumerate_natural_transformations(om, om, max_log2=1)
+    assert exc.value.limit == 2
 
 
 # --- classifier bijection (smoke; the full sweep is in the acceptance suite) --

@@ -404,6 +404,7 @@ def test_subset_guard_trips_before_any_subset_sum(monkeypatch, close):
     message = str(info.value)
     assert message.startswith(f"{stage}: the 2^21 spectral subsets of operator 'wide'")
     assert message.endswith(f"over the guard of {quantum.MAX_SUBSET_ENTRIES}")
+    assert info.value.limit == quantum.MAX_SUBSET_ENTRIES
 
 
 def test_subset_guard_budget_is_shared(monkeypatch):
