@@ -8,8 +8,8 @@ membership field and are byte-identical across runs for the same inputs.
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 size
 guard. The search statistics reported are deterministic work counters
-(backtracking nodes), never wall-clock times, to keep the determinism
-contract.
+(values tried and branches pruned), never wall-clock times, to keep the
+determinism contract.
 """
 
 from __future__ import annotations
@@ -177,6 +177,7 @@ def _cmd_ks_search(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
     if not result.sections:
         pairs.append(("certificate", "KS-obstruction"))
     pairs.append(("work.nodes", str(result.nodes)))
+    pairs.append(("work.prunes", str(result.prunes)))
     notes = ("KS obstruction certified",) if not result.sections else ()
     return pairs, notes
 
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--guard", type=_budget, default=DEFAULT_NODE_BUDGET,
-            help="override the search size guard (backtracking node budget, "
+            help="override the search size guard (node budget: values tried, "
                  "an integer >= 1)",
         )
     return parser

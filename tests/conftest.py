@@ -1,3 +1,4 @@
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +61,15 @@ def diamond():
         ["p", "q", "r", "s"],
         [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s"), ("p", "s")],
     )
+
+
+def idempotent_fork():
+    """A non-thin category: an idempotent e on A and two parallel arrows
+    f, g: A -> B with f e = g e = f."""
+    arrows = [Arrow("id_A", "A", "A"), Arrow("id_B", "B", "B"), Arrow("e", "A", "A"),
+              Arrow("f", "A", "B"), Arrow("g", "A", "B")]
+    table = {("e", "e"): "e", ("f", "e"): "f", ("g", "e"): "f"}
+    return build_category(["A", "B"], arrows, {"A": "id_A", "B": "id_B"}, table)
 
 
 POSET_FIXTURES = ["chain2", "chain3", "antichain2", "vposet", "diamond"]
@@ -138,6 +148,56 @@ def bundled_category(name: str):
 @pytest.fixture(scope="session")
 def cabello():
     return bundled_category("cabello18.scn")
+
+
+# --- Peres's 24 rays ---------------------------------------------------------
+
+def peres_rays() -> list[tuple[int, ...]]:
+    """Peres's 24 rays in dimension 4: e_i, e_i +- e_j and (1, +-1, +-1, +-1)."""
+    rays = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        for s in (1, -1):
+            rays.append(tuple(1 if k == i else s if k == j else 0 for k in range(4)))
+    rays.extend((1,) + signs for signs in itertools.product((1, -1), repeat=3))
+    return rays
+
+
+def peres_bases() -> list[tuple[int, ...]]:
+    """Every four mutually orthogonal Peres rays, as sorted ray indices."""
+    rays = peres_rays()
+
+    def orthogonal(a, b):
+        return sum(x * y for x, y in zip(rays[a], rays[b])) == 0
+
+    return [
+        quad for quad in itertools.combinations(range(len(rays)), 4)
+        if all(orthogonal(a, b) for a, b in itertools.combinations(quad, 2))
+    ]
+
+
+def peres_scenario_text() -> str:
+    """One four-level operator per Peres basis, eigenvalue k + 1 on its
+    k-th ray, closed under questions."""
+    rays = peres_rays()
+    lines = ["DIM 4"]
+    for b, quad in enumerate(peres_bases()):
+        lines.append(f"OPERATOR peres{b}")
+        for k, r in enumerate(quad):
+            lines.append(f"EIGENVALUE {k + 1} : ({', '.join(map(str, rays[r]))})")
+    lines.append("CLOSE on")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def peres24_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("peres") / "peres24.scn"
+    path.write_text(peres_scenario_text())
+    return path
+
+
+@pytest.fixture(scope="session")
+def peres24(peres24_path):
+    return build_scenario_category(parse_scenario(peres24_path.read_text(), "peres24.scn"))
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Independent brute-force oracles the tests check the library against.
 
 These deliberately avoid the code paths they verify: section search is a
-full product-space filter, sieve enumeration is a raw power-set filter
-(through the definitional membership test, and as a closure-mask filter
-over all 2^n subsets), and the ray-coloring count is plain bit twiddling.
+full product-space filter or plain backtracking with no propagation,
+sieve enumeration is a raw power-set filter (through the definitional
+membership test, and as a closure-mask filter over all 2^n subsets), and
+the ray colorings are plain bit twiddling, counted ray by ray or listed
+from every coloring.
 The state-induced sieve is recomputed one arrow at a time from the
 codomain's spectral projector, open-set implication is the union of every
 open that qualifies, and matrix products sum every term, zeros included.
@@ -13,10 +15,18 @@ from __future__ import annotations
 
 import itertools
 
+from sievelogic.errors import SizeLimitExceeded
 from sievelogic.exact import QC_ZERO, Matrix, Vector, as_fraction, mat_vec
 from sievelogic.fincat import FinCategory, arrows_from
 from sievelogic.heyting import FiniteTopology, Sieve, is_sieve
-from sievelogic.presheaf import Presheaf, element_key
+from sievelogic.presheaf import (
+    DEFAULT_NODE_BUDGET,
+    GlobalSection,
+    Presheaf,
+    SectionSearchResult,
+    _search_order,
+    element_key,
+)
 from sievelogic.quantum import OperatorCategory, State, spectral_projector
 
 
@@ -37,6 +47,70 @@ def brute_force_sections(x: Presheaf) -> list[dict]:
         ):
             sections.append(choice)
     return sections
+
+
+def backtrack_section_search(
+    x: Presheaf, node_budget: int = DEFAULT_NODE_BUDGET
+) -> SectionSearchResult:
+    """Plain backtracking over objects in the library's fixed order, checking
+    each value against the assigned neighbours only: the reference for the
+    sections, their order and the node count of the propagating search.
+    It cuts no branch by domain wipe-out, so ``prunes`` is 0."""
+    cat = x.cat
+    order = _search_order(cat)
+    pos = {obj: i for i, obj in enumerate(order)}
+    n = len(order)
+
+    elements = [sorted(x.object_sets[obj], key=element_key) for obj in order]
+    against_earlier: list[list] = [[] for _ in range(n)]  # (map, j, outgoing?)
+    self_maps: list[list] = [[] for _ in range(n)]
+    for a in cat.arrows.values():
+        if cat.is_identity(a.id):
+            continue
+        m = x.arrow_maps[a.id]
+        if a.dom == a.cod:
+            self_maps[pos[a.dom]].append(m)
+        elif pos[a.dom] > pos[a.cod]:
+            against_earlier[pos[a.dom]].append((m, pos[a.cod], True))
+        else:
+            against_earlier[pos[a.cod]].append((m, pos[a.dom], False))
+
+    assignment: list = [None] * n
+    sections: list[GlobalSection] = []
+    nodes = 0
+
+    def extend(i: int) -> None:
+        nonlocal nodes
+        if i == n:
+            sections.append(
+                GlobalSection({obj: assignment[pos[obj]] for obj in cat.objects})
+            )
+            return
+        for v in elements[i]:
+            nodes += 1
+            if nodes > node_budget:
+                raise SizeLimitExceeded(
+                    f"global-section search exceeded its node budget of {node_budget}",
+                    node_budget,
+                )
+            if any(m[v] != v for m in self_maps[i]):
+                continue
+            ok = True
+            for m, j, outgoing in against_earlier[i]:
+                if outgoing:
+                    if m[v] != assignment[j]:
+                        ok = False
+                        break
+                elif m[assignment[j]] != v:
+                    ok = False
+                    break
+            if ok:
+                assignment[i] = v
+                extend(i + 1)
+        assignment[i] = None
+
+    extend(0)
+    return SectionSearchResult(tuple(sections), nodes, 0, order)
 
 
 def power_set_sieves(cat: FinCategory, obj: str) -> set[frozenset]:
@@ -102,13 +176,31 @@ def dense_mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def count_one_per_basis_colorings(n_rays: int, bases: list[tuple[int, ...]]) -> int:
-    """Number of 0/1 ray assignments giving each basis exactly one 1."""
+    """Number of 0/1 ray assignments giving each basis exactly one 1.
+
+    Rays are colored one at a time in index order, and a partial coloring
+    is dropped as soon as a basis holds two 1s, or has every ray colored
+    and no 1; so 24 rays take milliseconds instead of 2^24 full colorings.
+    ``enumerate_one_per_basis_colorings`` walks every coloring.
+    """
     masks = [sum(1 << i for i in basis) for basis in bases]
-    count = 0
-    for coloring in range(1 << n_rays):
-        if all((coloring & m).bit_count() == 1 for m in masks):
-            count += 1
-    return count
+    if 0 in masks:
+        return 0
+    # closed_by[r]: the bases whose highest ray is r.
+    closed_by = [[m for m in masks if m.bit_length() == r + 1] for r in range(n_rays)]
+
+    def count(r: int, ones: int) -> int:
+        if r == n_rays:
+            return 1
+        total = 0
+        for coloring in (ones, ones | 1 << r):
+            if all((coloring & m).bit_count() <= 1 for m in masks) and all(
+                (coloring & m).bit_count() == 1 for m in closed_by[r]
+            ):
+                total += count(r + 1, coloring)
+        return total
+
+    return count(0, 0)
 
 
 def enumerate_one_per_basis_colorings(

@@ -10,7 +10,12 @@ import pytest
 
 import sievelogic
 from sievelogic.cli import main
+from sievelogic.presheaf import global_section_search
+from sievelogic.quantum import dual_presheaf
 from sievelogic.scenario import bundled_fixture
+
+from conftest import peres_bases
+from oracles import backtrack_section_search, count_one_per_basis_colorings
 
 
 def run_cli(*argv):
@@ -196,6 +201,32 @@ def test_ks_search_guard_exit():
     assert code == 3
     assert "SizeLimitExceeded" in out
     assert "guard: 3" in out
+
+
+def test_ks_search_guard_boundary_on_cabello(cabello):
+    result = global_section_search(dual_presheaf(cabello))
+    nodes = result.nodes
+    assert (nodes, result.prunes) == (149, 24)  # the README example
+    code, out = run_cli("ks-search", CABELLO, "--guard", str(nodes))
+    assert code == 0
+    assert f"work.nodes: {nodes}\nwork.prunes: {result.prunes}\n" in out
+    code, out = run_cli("ks-search", CABELLO, "--guard", str(nodes - 1))
+    assert code == 3
+    assert f"guard: {nodes - 1}" in out
+
+
+def test_ks_search_peres24(peres24_path, peres24):
+    bases = peres_bases()
+    assert len(bases) == 24
+    assert count_one_per_basis_colorings(24, bases) == 0
+    code, out = run_cli("ks-search", str(peres24_path), "--format", "record")
+    assert code == 0
+    rec = record_dict(out)
+    assert (rec["objects"], rec["arrows"], rec["sections"]) == ("164", "964", "0")
+    assert rec["certificate"] == "KS-obstruction"
+    reference = backtrack_section_search(dual_presheaf(peres24))
+    assert reference.sections == ()
+    assert 10 * int(rec["work.nodes"]) <= reference.nodes
 
 
 def diagonal_scenario(tmp_path, levels: int, close: bool) -> str:
@@ -411,5 +442,12 @@ def test_reports_identical_across_hash_seeds():
     ]
     outputs = [_reports_under_hashseed(seed, argvs) for seed in (0, 1, 2)]
     assert outputs[0].count("exit 0\n") == len(argvs)
+    # Every ks-search report, in both formats, ends its work counters with
+    # work.prunes right after work.nodes.
+    lines = outputs[0].splitlines()
+    for sep in (": ", " "):
+        at = [i for i, line in enumerate(lines) if line.startswith(f"work.prunes{sep}")]
+        assert len(at) == 3
+        assert all(lines[i - 1].startswith(f"work.nodes{sep}") for i in at)
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]

@@ -38,7 +38,7 @@ from sievelogic.heyting import (
     validate_heyting_table,
 )
 
-from conftest import ALL_CATEGORY_FIXTURES
+from conftest import ALL_CATEGORY_FIXTURES, idempotent_fork
 from oracles import power_set_sieves, subset_filter_sieves, union_implies
 
 
@@ -389,15 +389,6 @@ def posets(draw, max_points=6):
 
 
 _kernel_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def idempotent_fork():
-    """A non-thin category: an idempotent e on A and two parallel arrows
-    f, g: A -> B with f e = g e = f."""
-    arrows = [Arrow("id_A", "A", "A"), Arrow("id_B", "B", "B"), Arrow("e", "A", "A"),
-              Arrow("f", "A", "B"), Arrow("g", "A", "B")]
-    table = {("e", "e"): "e", ("f", "e"): "f", ("g", "e"): "f"}
-    return build_category(["A", "B"], arrows, {"A": "id_A", "B": "id_B"}, table)
 
 
 def assert_table_matches_reference(cat, obj, validate=True):

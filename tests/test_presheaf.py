@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievelogic.errors import SizeLimitExceeded
 from sievelogic.heyting import Sieve, is_sieve, principal_sieve
-from sievelogic.fincat import Check
+from sievelogic.fincat import Arrow, Check, build_category, poset_to_category
 from sievelogic.presheaf import (
     Check as PresheafCheck,
     ComponentDomainMismatch,
@@ -27,9 +28,10 @@ from sievelogic.presheaf import (
     validate_presheaf,
     validate_subobject,
 )
+from sievelogic.quantum import dual_presheaf
 
-from conftest import ALL_CATEGORY_FIXTURES
-from oracles import brute_force_sections
+from conftest import ALL_CATEGORY_FIXTURES, idempotent_fork
+from oracles import backtrack_section_search, brute_force_sections
 
 
 def two_point_fiber(chain2):
@@ -297,6 +299,17 @@ def poset_presheaf_guard_case():
 
 # --- global sections ---------------------------------------------------------
 
+def assert_search_matches_backtracking(x):
+    """Same sections in the same order as plain backtracking, after no more
+    values tried; returns both results."""
+    got, ref = global_section_search(x), backtrack_section_search(x)
+    assert got.sections == ref.sections
+    assert got.order == ref.order
+    assert got.nodes <= ref.nodes
+    assert got.prunes <= got.nodes
+    return got, ref
+
+
 def test_sections_two_point_fiber(chain2):
     x = two_point_fiber(chain2)
     secs = global_sections(x)
@@ -317,15 +330,15 @@ def test_sections_empty_object(chain2):
 def test_sections_match_brute_force(fixture_category):
     cat = fixture_category
     for x in (terminal_presheaf(cat), omega_presheaf(cat)):
+        got, _ = assert_search_matches_backtracking(x)
         bound = 1
         for obj in cat.objects:
             bound *= max(len(x.object_sets[obj]), 1)
         if bound > 1 << 20:
             continue
-        got = [gs.choice for gs in global_sections(x)]
         expected = brute_force_sections(x)
-        assert len(got) == len(expected)
-        assert all(choice in expected for choice in got)
+        assert len(got.sections) == len(expected)
+        assert all(gs.choice in expected for gs in got.sections)
 
 
 def test_sections_deterministic(vposet):
@@ -346,6 +359,149 @@ def test_transformation_enumeration_guard(chain3):
     with pytest.raises(SizeLimitExceeded, match="over the 2\\^1 guard") as exc:
         enumerate_natural_transformations(om, om, max_log2=1)
     assert exc.value.limit == 2
+
+
+# --- the propagating search against plain backtracking ------------------------
+# test_sections_match_brute_force also runs it on every category fixture.
+
+@pytest.mark.parametrize("operator_categories",
+                         ["bundled_categories", "generated_categories"], indirect=True)
+def test_search_matches_backtracking_on_dual_presheaves(operator_categories):
+    for ocat in operator_categories:
+        assert_search_matches_backtracking(dual_presheaf(ocat))
+
+
+def test_search_cuts_cabello_nodes_tenfold(cabello):
+    got, ref = assert_search_matches_backtracking(dual_presheaf(cabello))
+    assert not got.sections
+    assert 10 * got.nodes <= ref.nodes
+
+
+def fork_presheaf(b_elements):
+    """On the idempotent fork: e fixes 0 and 2 only, f and g send 2
+    outside B's set, and they agree on 0 alone."""
+    return make_presheaf(
+        idempotent_fork(),
+        {"A": [0, 1, 2], "B": b_elements},
+        {
+            "id_A": {0: 0, 1: 1, 2: 2},
+            "id_B": {b: b for b in b_elements},
+            "e": {0: 0, 1: 0, 2: 2},
+            "f": {0: "b0", 1: "b0", 2: "outside"},
+            "g": {0: "b0", 1: "b1", 2: "outside"},
+        },
+    )
+
+
+def test_search_on_endo_parallel_and_outside_values():
+    got, ref = assert_search_matches_backtracking(fork_presheaf(["b0", "b1"]))
+    assert [gs.choice for gs in got.sections] == [{"A": 0, "B": "b0"}]
+    # A tries only e's fixed points 0 and 2, B is forced to b0 after 0,
+    # and 2 empties B's domain at once. Backtracking tries A = 0, 1, 2
+    # and both values of B after 0 and after 2.
+    assert (got.nodes, got.prunes, ref.nodes) == (3, 1, 7)
+
+
+def test_search_on_an_empty_element_set():
+    got, ref = assert_search_matches_backtracking(fork_presheaf([]))
+    assert got.sections == ()
+    assert (got.nodes, got.prunes) == (0, 0)
+
+
+def test_search_propagates_one_value_domains_before_the_first_choice(chain2):
+    # q has one element, so p is narrowed to its preimage before p, the
+    # first object of the order, tries anything.
+    x = make_presheaf(
+        chain2,
+        {"p": [0, 1], "q": ["c"]},
+        {"id_p": {0: 0, 1: 1}, "id_q": {"c": "c"}, "p->q": {0: "c", 1: "outside"}},
+    )
+    got, ref = assert_search_matches_backtracking(x)
+    assert [gs.choice for gs in got.sections] == [{"p": 0, "q": "c"}]
+    assert (got.nodes, got.prunes, ref.nodes) == (2, 0, 4)
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # One depth per object: 1,200 objects run past Python's default
+    # recursion limit of 1,000.
+    cat = poset_to_category([f"x{i}" for i in range(1200)], [])
+    got = global_section_search(terminal_presheaf(cat))
+    assert len(got.sections) == 1
+    assert (got.nodes, got.prunes) == (1200, 0)
+
+
+@st.composite
+def function_categories(draw, max_objects=5):
+    """A random finite category: objects are sets of one to three points
+    and arrows the composition closure of random functions between them.
+    Generators with equal ends give endo-arrows, and distinct functions
+    with the same ends give parallel arrows. Arrows are
+    ``(dom, cod, images)`` triples."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_objects))
+    n = len(sizes)
+
+    def functions(ends):
+        i, j = ends
+        images = st.tuples(*[st.integers(0, sizes[j] - 1)] * sizes[i])
+        return images.map(lambda t: (i, j, t))
+
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    fns = {(i, i, tuple(range(sizes[i]))) for i in range(n)}
+    fns |= set(draw(st.lists(ends.flatmap(functions), min_size=2, max_size=6)))
+    while True:
+        composites = {
+            (f[0], g[1], tuple(g[2][v] for v in f[2]))
+            for f in fns for g in fns if f[1] == g[0]
+        }
+        if composites <= fns:
+            break
+        fns |= composites
+    objs = [f"o{i}" for i in range(n)]
+    name = {f: f"{objs[f[0]]}>{objs[f[1]]}:{''.join(map(str, f[2]))}" for f in fns}
+    table = {
+        (name[g], name[f]): name[(f[0], g[1], tuple(g[2][v] for v in f[2]))]
+        for f in fns for g in fns if f[1] == g[0]
+    }
+    cat = build_category(
+        objs,
+        [Arrow(name[f], objs[f[0]], objs[f[1]]) for f in sorted(fns)],
+        {objs[i]: name[(i, i, tuple(range(sizes[i])))] for i in range(n)},
+        table,
+    )
+    return cat, {name[f]: f for f in fns}, sizes
+
+
+@st.composite
+def search_presheaves(draw):
+    """On a random function category: the functor sending each object to
+    its points, and random maps on random element sets (one of them
+    sometimes empty) whose values may fall outside their codomain set."""
+    cat, fns, sizes = draw(function_categories())
+    objs = cat.objects
+    points = make_presheaf(
+        cat,
+        {obj: range(size) for obj, size in zip(objs, sizes)},
+        {aid: dict(enumerate(f[2])) for aid, f in fns.items()},
+    )
+    empty = draw(st.sampled_from((None, None, None) + objs))
+    sets = {obj: range(0 if obj == empty else draw(st.integers(2, 4))) for obj in objs}
+    maps = {}
+    for aid, a in cat.arrows.items():
+        if cat.is_identity(aid):
+            maps[aid] = {v: v for v in sets[a.dom]}
+        else:
+            # The value len(sets[a.cod]) lies outside the codomain set.
+            values = st.integers(0, len(sets[a.cod]))
+            maps[aid] = {v: draw(values) for v in sets[a.dom]}
+    return points, make_presheaf(cat, sets, maps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(search_presheaves())
+def test_search_matches_backtracking_on_random_categories(presheaves):
+    for x in presheaves:
+        got, _ = assert_search_matches_backtracking(x)
+        assert all(check_global_section(x, gs) for gs in got.sections)
 
 
 # --- classifier bijection (smoke; the full sweep is in the acceptance suite) --

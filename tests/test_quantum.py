@@ -725,6 +725,21 @@ def test_colorable3_sections_match_coloring_oracle(colorable3):
     assert induced == set(colorings)
 
 
+def test_pruned_coloring_count_matches_every_coloring():
+    from oracles import count_one_per_basis_colorings, enumerate_one_per_basis_colorings
+
+    rng = random.Random(5)
+    for _ in range(200):
+        n_rays = rng.randint(1, 10)
+        bases = [
+            tuple(sorted(rng.sample(range(n_rays), rng.randint(1, min(4, n_rays)))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert count_one_per_basis_colorings(n_rays, bases) == len(
+            enumerate_one_per_basis_colorings(n_rays, bases)
+        )
+
+
 def test_dim2_categories_have_sections(sz_unclosed, sz_closed, zx_unclosed, zx_closed):
     for ocat in (sz_unclosed, sz_closed, zx_unclosed, zx_closed):
         assert len(ks_global_section_search(ocat)) >= 1
