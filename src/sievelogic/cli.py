@@ -28,8 +28,9 @@ from .heyting import (
     principal_sieve,
     sieve_algebra,
 )
+from . import scenario
 from .presheaf import DEFAULT_NODE_BUDGET, global_section_search
-from .quantum import SpectralError, born_prob, dual_presheaf, nu_state
+from .quantum import SpectralError, SpectralOperator, born_prob, dual_presheaf, nu_state
 from .scenario import (
     ParseError,
     Scenario,
@@ -64,10 +65,13 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {reason}", 0, 0) from None
 
 
-def _load_scenario(path: str) -> Scenario:
-    scn = parse_scenario(_read(path), source=path)
-    validate_scenario(scn)
-    return scn
+def _load_scenario(text: str, path: str) -> tuple[Scenario, list[SpectralOperator]]:
+    """The scenario and its operators, each built once before states and
+    queries are validated."""
+    scn = parse_scenario(text, source=path)
+    ops = scenario.scenario_operators(scn)
+    validate_scenario(scn, ops)
+    return scn, ops
 
 
 def _format_fn(fn: dict) -> str:
@@ -81,7 +85,7 @@ def _format_member_set(members) -> str:
 
 
 def _cmd_validate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    scn = _load_scenario(path)
+    scn, _ = _load_scenario(_read(path), path)
     pairs: Pairs = [
         ("command", "validate"),
         ("scenario", path),
@@ -110,8 +114,7 @@ def _category_counts(base: FinCategory) -> Pairs:
 
 
 def _cmd_category(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    scn = _load_scenario(path)
-    ocat = build_scenario_category(scn)
+    ocat = build_scenario_category(*_load_scenario(_read(path), path))
     base = ocat.base
     pairs: Pairs = [("command", "category"), ("scenario", path)]
     pairs.extend(_category_counts(base))
@@ -130,10 +133,10 @@ def _cmd_category(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
 
 
 def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    scn = _load_scenario(path)
+    scn, ops = _load_scenario(_read(path), path)
     if not scn.queries:
         raise SieveLogicError("valuate needs at least one QUERY")
-    ocat = build_scenario_category(scn)
+    ocat = build_scenario_category(scn, ops)
     states = scenario_states(scn)
     pairs: Pairs = [("command", "valuate"), ("scenario", path)]
     for i, q in enumerate(scn.queries):
@@ -165,8 +168,7 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
 
 
 def _cmd_ks_search(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    scn = _load_scenario(path)
-    ocat = build_scenario_category(scn)
+    ocat = build_scenario_category(*_load_scenario(_read(path), path))
     result = global_section_search(dual_presheaf(ocat), node_budget=args.guard)
     pairs: Pairs = [("command", "ks-search"), ("scenario", path)]
     pairs.extend(_category_counts(ocat.base))
@@ -217,9 +219,7 @@ def _cmd_heyting(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
         pairs.append(("kind", "topology"))
         pairs.extend(_table_pairs("topology", table, _format_member_set))
     else:
-        scn = parse_scenario(text, source=path)
-        validate_scenario(scn)
-        ocat = build_scenario_category(scn)
+        ocat = build_scenario_category(*_load_scenario(text, path))
         pairs.append(("kind", "scenario"))
         pairs.extend(_category_counts(ocat.base))
         for name in ocat.base.objects:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -73,6 +75,7 @@ QC_ONE = QC(Fraction(1), Fraction(0))
 
 Vector = tuple[QC, ...]
 Matrix = tuple[tuple[QC, ...], ...]
+IntVector = tuple[tuple[int, ...], tuple[int, ...]]  # real parts, imaginary parts
 
 
 def vector(entries: Iterable[QC | RationalLike]) -> Vector:
@@ -95,10 +98,6 @@ def zero_matrix(n: int) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -164,3 +163,16 @@ def is_idempotent(m: Matrix) -> bool:
 def projector_leq(p: Matrix, q: Matrix) -> bool:
     """Exact subspace containment ``ran p <= ran q`` for projectors p, q."""
     return mat_mul(q, p) == p
+
+
+def int_vector(v: Vector) -> IntVector:
+    """``v`` scaled by the lcm of its denominators, onto Gaussian integers."""
+    scale = lcm(*(x.denominator for e in v for x in (e.re, e.im)))
+    return tuple(int(e.re * scale) for e in v), tuple(int(e.im * scale) for e in v)
+
+
+def orthogonal(u: IntVector, v: IntVector) -> bool:
+    """Whether the inner product of two Gaussian-integer vectors is 0."""
+    (a, b), (c, d) = u, v
+    return (sum(map(mul, a, c)) + sum(map(mul, b, d)) == 0
+            and sum(map(mul, a, d)) == sum(map(mul, b, c)))

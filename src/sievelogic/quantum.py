@@ -22,25 +22,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .exact import (
+    IntVector,
     Matrix,
     Vector,
     RationalLike,
     as_fraction,
     identity_matrix,
     inner,
+    int_vector,
     is_hermitian,
     is_idempotent,
     is_zero_matrix,
     is_zero_vector,
     mat_add,
     mat_mul,
-    mat_sub,
     mat_vec,
     norm_sq,
+    orthogonal,
     outer_self,
     vector,
     zero_matrix,
@@ -94,19 +97,43 @@ class IncompleteValuation(SpectralError):
     pass
 
 
-@dataclass(frozen=True)
 class SpectralOperator:
     """A self-adjoint operator given by its exact spectral decomposition.
 
-    ``spectrum`` is sorted ascending and ``projectors`` is aligned with it.
-    The projectors are Hermitian, idempotent, mutually orthogonal, and sum
-    to the identity; :func:`make_operator` guarantees all of that exactly.
+    ``vectors`` and ``projectors`` are aligned with the ascending
+    ``spectrum``. The Gaussian-integer vectors under an eigenvalue span its
+    eigenspace; projectors not given are derived when first read.
+    :func:`make_operator` guarantees exactly that the projectors are
+    Hermitian, idempotent, mutually orthogonal, and sum to the identity.
     """
 
-    name: str
-    dim: int
-    spectrum: tuple[Fraction, ...]
-    projectors: tuple[Matrix, ...]
+    def __init__(self, name: str, dim: int, spectrum: Sequence[Fraction], projectors):
+        self.name, self.dim, self.spectrum = name, dim, tuple(spectrum)
+        self.projectors: tuple[Matrix, ...] = tuple(projectors)
+        self.vectors: tuple[tuple[IntVector, ...], ...] = tuple(
+            tuple(int_vector(c) for c in zip(*p) if not is_zero_vector(c)) for p in self.projectors
+        )
+
+    @classmethod
+    def _spanned(cls, name, dim, spectrum, vectors, derive) -> "SpectralOperator":
+        """Spanned by ``vectors``; ``derive()`` computes the projectors."""
+        op = cls.__new__(cls)
+        op.name, op.dim, op.spectrum = name, dim, tuple(spectrum)
+        op.vectors, op._derive = vectors, derive
+        return op
+
+    @cached_property
+    def projectors(self) -> tuple[Matrix, ...]:
+        return self._derive()
+
+    def __eq__(self, other):
+        return isinstance(other, SpectralOperator) and (
+            (self.name, self.dim, self.spectrum, self.projectors)
+            == (other.name, other.dim, other.spectrum, other.projectors)
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.dim, self.spectrum))
 
     def projector_of(self, eigenvalue: RationalLike) -> Matrix:
         val = as_fraction(eigenvalue)
@@ -114,10 +141,6 @@ class SpectralOperator:
             if a == val:
                 return p
         raise NotInSpectrum(f"{val} is not an eigenvalue of {self.name!r}")
-
-    def structural_key(self) -> tuple:
-        """Identity up to naming: spectrum plus aligned projector list."""
-        return (self.spectrum, self.projectors)
 
 
 @dataclass(frozen=True)
@@ -177,7 +200,7 @@ def make_operator(
     Raises NotOrthogonal, IncompleteBasis or DuplicateEigenvalue, naming
     the operator and the offending data.
     """
-    groups: list[tuple[Fraction, list[Vector]]] = []
+    groups: list[tuple[Fraction, list[Vector], list[IntVector]]] = []
     seen: set[Fraction] = set()
     total = 0
     for raw_val, raw_vecs in eigendata:
@@ -195,33 +218,41 @@ def make_operator(
                 )
             if is_zero_vector(v):
                 raise IncompleteBasis(f"operator {name!r}: zero vector under {val}")
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if not inner(vecs[i], vecs[j]).is_zero():
+        ints = [int_vector(v) for v in vecs]
+        for i in range(len(ints)):
+            for j in range(i + 1, len(ints)):
+                if not orthogonal(ints[i], ints[j]):
                     raise NotOrthogonal(
                         f"operator {name!r}: vectors {i} and {j} under eigenvalue "
                         f"{val} are not orthogonal"
                     )
         total += len(vecs)
-        groups.append((val, vecs))
+        groups.append((val, vecs, ints))
     if total != dim:
         raise IncompleteBasis(
             f"operator {name!r}: {total} eigenvectors for dimension {dim}"
         )
     groups.sort(key=lambda g: g[0])
-    for i, (a, vecs_a) in enumerate(groups):
-        for b, vecs_b in groups[i + 1:]:
-            if any(not inner(u, v).is_zero() for u in vecs_a for v in vecs_b):
+    for i, (a, _, ints_a) in enumerate(groups):
+        for b, _, ints_b in groups[i + 1:]:
+            if not all(orthogonal(u, v) for u in ints_a for v in ints_b):
                 raise NotOrthogonal(
                     f"operator {name!r}: projectors of {a} and {b} are not orthogonal"
                 )
-    projectors = []
-    for _, vecs in groups:
-        p = zero_matrix(dim)
-        for v in vecs:
-            p = mat_add(p, _scaled_outer(v))
-        projectors.append(p)
-    return SpectralOperator(name, dim, tuple(g[0] for g in groups), tuple(projectors))
+    return SpectralOperator._spanned(
+        name, dim, (g[0] for g in groups), tuple(tuple(g[2]) for g in groups),
+        lambda: tuple(reduce(mat_add, map(_scaled_outer, g[1])) for g in groups),
+    )
+
+
+def _coarsening(op: SpectralOperator, name: str, spectrum, masks) -> SpectralOperator:
+    """The operator with eigenvalue ``spectrum[k]`` on the sum of the
+    eigenspaces of ``op`` in ``masks[k]`` (bit i: ``op.spectrum[i]``)."""
+    return SpectralOperator._spanned(
+        name, op.dim, spectrum,
+        tuple(tuple(v for i in _bits(m) for v in op.vectors[i]) for m in masks),
+        lambda: tuple(reduce(mat_add, [op.projectors[i] for i in _bits(m)]) for m in masks),
+    )
 
 
 def function_of(
@@ -231,21 +262,17 @@ def function_of(
 ) -> SpectralOperator:
     """Apply a total function on the spectrum: eigenvalues map through
     ``fn`` and projectors of merged eigenvalues add up."""
-    grouped: dict[Fraction, Matrix] = {}
-    for a, p in zip(op.spectrum, op.projectors):
+    masks: dict[Fraction, int] = {}
+    for i, a in enumerate(op.spectrum):
         if a not in fn:
             raise PartialFunction(
                 f"function is undefined on eigenvalue {a} of {op.name!r}"
             )
         b = as_fraction(fn[a])
-        grouped[b] = mat_add(grouped[b], p) if b in grouped else p
-    spectrum = tuple(sorted(grouped))
-    return SpectralOperator(
-        name if name is not None else f"f({op.name})",
-        op.dim,
-        spectrum,
-        tuple(grouped[b] for b in spectrum),
-    )
+        masks[b] = masks.get(b, 0) | 1 << i
+    spectrum = tuple(sorted(masks))
+    name = name if name is not None else f"f({op.name})"
+    return _coarsening(op, name, spectrum, [masks[b] for b in spectrum])
 
 
 def spectral_projector(op: SpectralOperator, delta: Iterable[RationalLike]) -> Matrix:
@@ -263,15 +290,20 @@ def spectral_projector(op: SpectralOperator, delta: Iterable[RationalLike]) -> M
     return total
 
 
+def _subset_masks(n: int) -> list[int]:
+    """Every mask over n levels, by size, then by the indices of its levels."""
+    return sorted(range(1 << n), key=lambda m: (m.bit_count(), list(_bits(m))))
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def spectrum_subsets(op: SpectralOperator) -> tuple[frozenset[Fraction], ...]:
     """All subsets of the spectrum, ordered by size then by sorted values."""
-    vals = op.spectrum
-    subsets = [
-        frozenset(v for i, v in enumerate(vals) if mask >> i & 1)
-        for mask in range(1 << len(vals))
-    ]
-    subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(subsets)
+    return tuple(
+        frozenset(op.spectrum[i] for i in _bits(m)) for m in _subset_masks(len(op.spectrum))
+    )
 
 
 @dataclass(frozen=True)
@@ -300,49 +332,18 @@ class SpectralAlgebra:
         return tuple(frozenset((a,)) for a in self.operator.spectrum)
 
 
-def _first_nonzero_column(m: Matrix) -> Vector:
-    n = len(m)
-    for j in range(n):
-        col = tuple(m[i][j] for i in range(n))
-        if not is_zero_vector(col):
-            return col
-    raise SpectralError("projector is the zero matrix")
-
-
 def find_arrow(
     a_op: SpectralOperator, b_op: SpectralOperator
 ) -> dict[Fraction, Fraction] | None:
-    """The unique spectrum function carrying ``a_op`` onto ``b_op``, if any.
-
-    Exists iff every projector of ``b_op`` is an exact sum of projectors of
-    ``a_op``. The candidate is located through a range vector of each
-    projector and then verified exactly, so the answer is never heuristic.
-    """
+    """The unique spectrum function carrying ``a_op`` onto ``b_op``, if any:
+    it exists iff each eigenspace of ``a_op`` overlaps exactly one of
+    ``b_op``, its image."""
     if a_op.dim != b_op.dim:
         raise DimensionMismatch(
             f"operators {a_op.name!r} and {b_op.name!r} have different dimensions"
         )
-    if len(b_op.spectrum) > len(a_op.spectrum):
-        return None
-    mapping: dict[Fraction, Fraction] = {}
-    for a, pa in zip(a_op.spectrum, a_op.projectors):
-        col = _first_nonzero_column(pa)
-        target = None
-        for b, pb in zip(b_op.spectrum, b_op.projectors):
-            if mat_vec(pb, col) == col:
-                target = b
-                break
-        if target is None:
-            return None
-        mapping[a] = target
-    for b, pb in zip(b_op.spectrum, b_op.projectors):
-        block = zero_matrix(a_op.dim)
-        for a, pa in zip(a_op.spectrum, a_op.projectors):
-            if mapping[a] == b:
-                block = mat_add(block, pa)
-        if block != pb:
-            return None
-    return mapping
+    image = _image(b_op, _overlaps(a_op, b_op))
+    return None if image is None else dict(zip(a_op.spectrum, image))
 
 
 def born_prob(
@@ -380,45 +381,37 @@ class OperatorCategory:
         return self.arrow_functions[arrow_id]
 
 
-# Question closure and arrow discovery both walk the 2^n spectral subsets
-# of n-level operators, touching dim^2 matrix entries per subset. One
-# budget of entries is shared by both steps of a build, and every walk is
-# charged before either step starts.
-MAX_SUBSET_ENTRIES = 1 << 20
+# Each question becomes an object; an n-level operator has 2^n - 2.
+MAX_QUESTIONS = 1 << 13
 
 
-def _charge_subsets(spent: int, stage: str, op: SpectralOperator, walks: int) -> int:
-    """``spent`` plus ``walks`` walks over the 2^n subsets of ``op``'s
-    spectrum; raises SizeLimitExceeded once that passes the budget."""
-    n = len(op.spectrum)
-    spent += walks * (1 << n) * op.dim * op.dim
-    if spent > MAX_SUBSET_ENTRIES:
-        raise SizeLimitExceeded(
-            f"{stage}: the 2^{n} spectral subsets of operator {op.name!r} "
-            f"(dimension {op.dim}) bring the subset work to {spent} matrix "
-            f"entries, over the guard of {MAX_SUBSET_ENTRIES}",
-            MAX_SUBSET_ENTRIES,
+def _overlaps(a_op: SpectralOperator, b_op: SpectralOperator) -> list[int]:
+    """The overlap graph of two operators: for each eigenvalue of ``a_op``,
+    the mask of those of ``b_op`` whose eigenspaces are not orthogonal to
+    its own (bit j: ``b_op.spectrum[j]``)."""
+    return [
+        sum(
+            1 << j for j, vb in enumerate(b_op.vectors)
+            if not all(orthogonal(u, v) for u in va for v in vb)
         )
-    return spent
+        for va in a_op.vectors
+    ]
 
 
-def _subset_sums(projectors: Sequence[Matrix]) -> Iterable[tuple[int, Matrix]]:
-    """Every nonempty subset of ``projectors`` as (bit mask, sum), depth
-    first: each sum is its parent's plus one projector, and only the sums
-    on the current path stay alive."""
-    n = len(projectors)
-
-    def walk(mask: int, total: Matrix | None, start: int):
-        for i in range(start, n):
-            child = projectors[i] if total is None else mat_add(total, projectors[i])
-            yield mask | 1 << i, child
-            yield from walk(mask | 1 << i, child, i + 1)
-
-    return walk(0, None, 0)
+def _image(b_op: SpectralOperator, overlap: Sequence[int]) -> list[Fraction] | None:
+    """The values of the arrow ``A -> b_op`` given their overlap graph, if any."""
+    if all(m and not m & (m - 1) for m in overlap):
+        return [b_op.spectrum[m.bit_length() - 1] for m in overlap]
+    return None
 
 
-def _question_name(op_name: str, delta: Iterable[Fraction]) -> str:
-    return f"{op_name}[{','.join(str(v) for v in sorted(delta))}]"
+def _reach(overlap: Sequence[int]) -> list[int]:
+    """The union of the overlap masks of the levels in each mask."""
+    reach = [0] * (1 << len(overlap))
+    for m in range(1, len(reach)):
+        low = m & -m
+        reach[m] = reach[m ^ low] | overlap[low.bit_length() - 1]
+    return reach
 
 
 def build_operator_category(
@@ -433,6 +426,8 @@ def build_operator_category(
     operators are added once as shared objects. Arrows are all spectrum
     functions between objects (identities included); the underlying
     category is thin.
+
+    Everything is read off the overlap graphs of the given operators.
     """
     seeds = list(operators)
     if not seeds:
@@ -447,102 +442,93 @@ def build_operator_category(
         if op.name in names:
             raise NameCollision(f"duplicate operator name {op.name!r}")
         names.add(op.name)
-
-    objects: list[SpectralOperator] = list(seeds)
-    structural: dict[tuple, str] = {}
-    for op in seeds:
-        structural.setdefault(op.structural_key(), op.name)
-
-    def adjoin(candidate: SpectralOperator) -> None:
-        if candidate.structural_key() in structural:
-            return
-        name = candidate.name
-        while name in names:
-            name = name + "'"
-        if name != candidate.name:
-            candidate = SpectralOperator(
-                name, candidate.dim, candidate.spectrum, candidate.projectors
-            )
-        names.add(name)
-        structural[candidate.structural_key()] = name
-        objects.append(candidate)
-
-    # Closure walks a seed's 2^n subsets and adds at most 2^n yes/no
-    # operators, each with 4 subsets for arrow discovery to walk: 5 walks'
-    # worth. Arrow discovery walks each seed once more.
-    spent = 0
-    for op in seeds:
-        if close_under_questions:
-            spent = _charge_subsets(spent, "question closure", op, 5)
-        spent = _charge_subsets(spent, "arrow discovery", op, 1)
-
     if close_under_questions:
-        ident = identity_matrix(dim)
-        zero_f, one_f = Fraction(0), Fraction(1)
-        for op in seeds:
-            subset_sums = dict(_subset_sums(op.projectors))
-            bit = {a: 1 << i for i, a in enumerate(op.spectrum)}
-            for delta in spectrum_subsets(op):
-                if not delta or len(delta) == len(op.spectrum):
-                    continue
-                p1 = subset_sums[sum(bit[a] for a in delta)]
-                p0 = mat_sub(ident, p1)
-                adjoin(
-                    SpectralOperator(
-                        _question_name(op.name, delta), dim, (zero_f, one_f), (p0, p1)
-                    )
-                )
-        # The empty and full subsets collapse to the constants, shared once.
-        adjoin(SpectralOperator("const0", dim, (zero_f,), (ident,)))
-        adjoin(SpectralOperator("const1", dim, (one_f,), (ident,)))
+        questions = sum((1 << len(op.spectrum)) - 2 for op in seeds)
+        if questions > MAX_QUESTIONS:
+            raise SizeLimitExceeded(
+                f"question closure: 2^n - 2 questions per n-level operator make "
+                f"{questions}, over the guard of {MAX_QUESTIONS}", MAX_QUESTIONS,
+            )
 
-    op_by_name = {op.name: op for op in objects}
-
-    # Arrow discovery: B is a function of A iff every projector of B is a
-    # sum of projectors of A. Each distinct projector gets an int id once;
-    # each object then looks up each of its 2^n - 1 subset sums once and
-    # records the mask that hits each projector id. B is a codomain iff all
-    # its projectors are hit. The hitting masks are then disjoint and cover
-    # A (nonzero orthogonal projectors are linearly independent and both
-    # families sum to the identity), so they are the blocks of the unique
-    # spectrum function and nothing needs checking afterwards.
-    interned: dict[Matrix, int] = {}
-    projector_ids = [
-        tuple(interned.setdefault(p, len(interned)) for p in op.projectors)
-        for op in objects
+    overlap = [[_overlaps(a_op, b_op) for b_op in seeds] for a_op in seeds]
+    # targets[k][j]: the values on object k's spectrum of the arrow k -> j.
+    objects = list(seeds)
+    targets: list[dict[int, list[Fraction]]] = [
+        {t: image for t, b_op in enumerate(seeds)
+         if (image := _image(b_op, overlap[s][t])) is not None}
+        for s in range(len(seeds))
     ]
-    holders: dict[int, list[int]] = {}
-    for k, ids in enumerate(projector_ids):
-        for pid in ids:
-            holders.setdefault(pid, []).append(k)
+    if close_under_questions:
+        zero_f, one_f = Fraction(0), Fraction(1)
+        reach = [[_reach(row) for row in rows] for rows in overlap]
+
+        # (A, delta) and (B, delta') have the same projector iff delta |
+        # delta' is a union of components of the overlap graph of A and B,
+        # that is iff each is the other's reach. Questions go by the first.
+        def first(s: int, mask: int) -> tuple[int, int]:
+            for t in range(s):
+                image = reach[s][t][mask]
+                if reach[t][s][image] == mask:
+                    return t, image
+            return s, mask
+
+        def adjoin(source: SpectralOperator, name: str, spectrum, masks) -> int:
+            while name in names:
+                name = name + "'"
+            names.add(name)
+            objects.append(_coarsening(source, name, spectrum, masks))
+            targets.append({})
+            return len(objects) - 1
+
+        # A two-level seed equals the questions of both its eigenvalues; one
+        # with spectrum {0, 1} is the question of its 1.
+        two_level: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for t, op in enumerate(seeds):
+            if len(op.spectrum) == 2:
+                for i in (0, 1):
+                    two_level.setdefault(first(t, 1 << i), []).append((t, i))
+        held = {first(t, 0b10) for t, op in enumerate(seeds) if op.spectrum == (zero_f, one_f)}
+        question: dict[tuple[int, int], int] = {}
+        for s, op in enumerate(seeds):
+            full = (1 << len(op.spectrum)) - 1
+            for mask in _subset_masks(len(op.spectrum))[1:-1]:
+                key = first(s, mask)
+                if key not in question and key not in held:
+                    delta = ",".join(str(op.spectrum[i]) for i in _bits(mask))
+                    q = question[key] = adjoin(
+                        op, f"{op.name}[{delta}]", (zero_f, one_f), (full ^ mask, mask)
+                    )
+                    for t, i in two_level.get(key, ()):
+                        targets[q][t] = [seeds[t].spectrum[1 - i], seeds[t].spectrum[i]]
+                if key in question:
+                    targets[s][question[key]] = [
+                        one_f if mask >> i & 1 else zero_f for i in range(len(op.spectrum))
+                    ]
+        for (s, mask), q in question.items():
+            targets[q][q] = [zero_f, one_f]
+            complement = question.get(first(s, mask ^ ((1 << len(seeds[s].spectrum)) - 1)))
+            if complement is not None:
+                targets[q][complement] = [one_f, zero_f]
+        # The empty and full subsets collapse to the constants, shared once.
+        for value in (zero_f, one_f):
+            if all(op.spectrum != (value,) for op in seeds):
+                adjoin(seeds[0], f"const{value}", (value,), ((1 << len(seeds[0].spectrum)) - 1,))
+        flat = [j for j, op in enumerate(objects) if len(op.spectrum) == 1]
+        for a_op, out in zip(objects, targets):
+            for j in flat:
+                out[j] = [objects[j].spectrum[0]] * len(a_op.spectrum)
 
     arrows: list[Arrow] = []
     functions: dict[str, dict[Fraction, Fraction]] = {}
-
-    for a_op in objects:
-        hit: dict[int, int] = {}
-        for mask, total in _subset_sums(a_op.projectors):
-            pid = interned.get(total)
-            if pid is not None:
-                hit[pid] = mask
-        for k in sorted({k for pid in hit for k in holders[pid]}):
-            if not all(pid in hit for pid in projector_ids[k]):
-                continue
-            b_op = objects[k]
-            value = [None] * len(a_op.spectrum)
-            for b, pid in zip(b_op.spectrum, projector_ids[k]):
-                for i in range(len(value)):
-                    if hit[pid] >> i & 1:
-                        value[i] = b
-            if a_op.name == b_op.name:
-                aid = f"id_{a_op.name}"
-            else:
-                aid = f"{a_op.name}->{b_op.name}"
+    for a_op, out in zip(objects, targets):
+        for j in sorted(out):
+            b_op = objects[j]
+            aid = f"id_{a_op.name}" if b_op is a_op else f"{a_op.name}->{b_op.name}"
             arrows.append(Arrow(aid, a_op.name, b_op.name))
-            functions[aid] = dict(zip(a_op.spectrum, value))
+            functions[aid] = dict(zip(a_op.spectrum, out[j]))
 
     base = thin_category([op.name for op in objects], arrows)
-    return OperatorCategory(base, op_by_name, functions)
+    return OperatorCategory(base, {op.name: op for op in objects}, functions)
 
 
 def dual_presheaf(ocat: OperatorCategory) -> Presheaf:
@@ -590,7 +576,8 @@ def nu_state(
     The codomain projector of ``fn(delta)`` is the sum of the context's
     projectors over ``fn^-1(fn(delta))``, and their ranges are orthogonal,
     so it fixes the state iff every other projector of the context kills
-    it: one kill test per eigenvalue decides every arrow."""
+    it (the state is orthogonal to its vectors): one kill test per
+    eigenvalue decides every arrow."""
     name = context.name if isinstance(context, SpectralOperator) else context
     op = ocat.operator(name)
     dset = frozenset(as_fraction(d) for d in delta)
@@ -599,9 +586,10 @@ def nu_state(
         raise NotInSpectrum(f"{sorted(extra)} not in the spectrum of {name!r}")
     if len(state.vector) != op.dim:
         raise DimensionMismatch("state dimension does not match the category")
+    psi = int_vector(state.vector)
     killed = {
-        a: is_zero_vector(mat_vec(p, state.vector))
-        for a, p in zip(op.spectrum, op.projectors)
+        a: all(orthogonal(v, psi) for v in vectors)
+        for a, vectors in zip(op.spectrum, op.vectors)
     }
     members = set()
     for arrow in arrows_from(ocat.base, name):

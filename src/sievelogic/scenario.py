@@ -305,16 +305,16 @@ def scenario_states(scn: Scenario) -> dict[str, State]:
     return out
 
 
-def validate_scenario(scn: Scenario) -> None:
-    """Full reference and invariant validation beyond the grammar."""
-    ops = {op.name: op for op in scenario_operators(scn)}
+def validate_scenario(scn: Scenario, ops: list[SpectralOperator]) -> None:
+    """Reference validation of states and queries against built operators."""
+    by_name = {op.name: op for op in ops}
     states = scenario_states(scn)
     for q in scn.queries:
         if q.state not in states:
             raise UnknownName(f"query names unknown state {q.state!r}")
-        if q.operator not in ops:
+        if q.operator not in by_name:
             raise UnknownName(f"query names unknown operator {q.operator!r}")
-        spectrum = set(ops[q.operator].spectrum)
+        spectrum = set(by_name[q.operator].spectrum)
         missing = [v for v in q.delta if v not in spectrum]
         if missing:
             raise NotInSpectrum(
@@ -323,10 +323,8 @@ def validate_scenario(scn: Scenario) -> None:
             )
 
 
-def build_scenario_category(scn: Scenario) -> OperatorCategory:
-    return build_operator_category(
-        scenario_operators(scn), close_under_questions=scn.close_under_questions
-    )
+def build_scenario_category(scn: Scenario, ops: list[SpectralOperator]) -> OperatorCategory:
+    return build_operator_category(ops, close_under_questions=scn.close_under_questions)
 
 
 def bundled_fixture(name: str) -> Path:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -7,15 +8,30 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from sievelogic import quantum
-from sievelogic.errors import SizeLimitExceeded
+from sievelogic.exact import (
+    QC,
+    QC_ONE,
+    identity_matrix,
+    inner,
+    is_zero_vector,
+    mat_add,
+    mat_mul,
+    matrix,
+    vector,
+)
 from sievelogic.fincat import Arrow, build_category, poset_to_category
 from sievelogic.quantum import (
     build_operator_category,
     function_of,
     make_operator,
 )
-from sievelogic.scenario import build_scenario_category, bundled_fixture, parse_scenario
+from sievelogic.scenario import (
+    build_scenario_category,
+    bundled_fixture,
+    format_vector,
+    parse_scenario,
+    scenario_operators,
+)
 
 
 # --- plain categories -------------------------------------------------------
@@ -139,10 +155,13 @@ OPERATOR_CATEGORY_FIXTURES = [
 ALL_CATEGORY_FIXTURES = PLAIN_CATEGORY_FIXTURES + OPERATOR_CATEGORY_FIXTURES
 
 
+def scenario_category(text: str, source: str = "<string>"):
+    scn = parse_scenario(text, source)
+    return build_scenario_category(scn, scenario_operators(scn))
+
+
 def bundled_category(name: str):
-    return build_scenario_category(
-        parse_scenario(bundled_fixture(name).read_text(), name)
-    )
+    return scenario_category(bundled_fixture(name).read_text(), name)
 
 
 @pytest.fixture(scope="session")
@@ -175,17 +194,23 @@ def peres_bases() -> list[tuple[int, ...]]:
     ]
 
 
-def peres_scenario_text() -> str:
-    """One four-level operator per Peres basis, eigenvalue k + 1 on its
-    k-th ray, closed under questions."""
-    rays = peres_rays()
-    lines = ["DIM 4"]
-    for b, quad in enumerate(peres_bases()):
-        lines.append(f"OPERATOR peres{b}")
-        for k, r in enumerate(quad):
-            lines.append(f"EIGENVALUE {k + 1} : ({', '.join(map(str, rays[r]))})")
+def bases_scenario_text(prefix: str, bases) -> str:
+    """One operator per basis, named ``prefix`` and its index, with
+    eigenvalue k + 1 on its k-th vector, closed under questions."""
+    lines = [f"DIM {len(bases[0])}"]
+    for b, basis in enumerate(bases):
+        lines.append(f"OPERATOR {prefix}{b}")
+        for k, v in enumerate(basis):
+            lines.append(f"EIGENVALUE {k + 1} : {format_vector(vector(v))}")
     lines.append("CLOSE on")
     return "\n".join(lines) + "\n"
+
+
+def peres_scenario_text() -> str:
+    rays = peres_rays()
+    return bases_scenario_text(
+        "peres", [[rays[r] for r in quad] for quad in peres_bases()]
+    )
 
 
 @pytest.fixture(scope="session")
@@ -197,7 +222,94 @@ def peres24_path(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def peres24(peres24_path):
-    return build_scenario_category(parse_scenario(peres24_path.read_text(), "peres24.scn"))
+    return scenario_category(peres24_path.read_text(), "peres24.scn")
+
+
+# --- Mermin's star and the Kernaghan-Peres set -------------------------------
+
+_PAULI = {
+    "I": matrix([[1, 0], [0, 1]]),
+    "X": matrix([[0, 1], [1, 0]]),
+    "Y": matrix([[0, QC(Fraction(0), Fraction(-1))], [QC(Fraction(0), Fraction(1)), 0]]),
+}
+
+# Mermin's star (PRL 65, 3373, 1990): five lines of four commuting
+# three-qubit Pauli products, each product on two lines. The products on
+# the first line multiply to -I, on the others to +I, and the first three
+# products of each line are independent.
+MERMIN_LINES = [
+    ("XXX", "XYY", "YXY", "YYX"),
+    ("XII", "IXI", "IIX", "XXX"),
+    ("XII", "IYI", "IIY", "XYY"),
+    ("YII", "IXI", "IIY", "YXY"),
+    ("YII", "IYI", "IIX", "YYX"),
+]
+
+
+def _pauli_product(word: str):
+    m = ((QC_ONE,),)
+    for letter in word:
+        p = _PAULI[letter]
+        m = tuple(
+            tuple(x * y for x in row for y in prow) for row in m for prow in p
+        )
+    return m
+
+
+def mermin_bases():
+    """The eight joint eigenvectors of each line: for each sign pattern,
+    the first nonzero column of the product of (I +- O_k) over the line's
+    first three products, divided by the gcd of its integer parts, so every
+    entry is 0, +-1 or +-i."""
+    ident = identity_matrix(8)
+    bases = []
+    for line in MERMIN_LINES:
+        products = [_pauli_product(word) for word in line[:3]]
+        basis = []
+        for signs in itertools.product((1, -1), repeat=3):
+            m = ident
+            for sign, o in zip(signs, products):
+                m = mat_mul(m, mat_add(ident, tuple(tuple(e * sign for e in row) for row in o)))
+            col = next(c for c in zip(*m) if not is_zero_vector(c))
+            g = math.gcd(*(int(x) for e in col for x in (e.re, e.im)))
+            basis.append(tuple(e / g for e in col))
+        bases.append(basis)
+    return bases
+
+
+def kernaghan_peres_bases():
+    """Every eight mutually orthogonal rays among the star's 40 (Kernaghan
+    and Peres, Phys. Lett. A 198, 1, 1995), in lexicographic ray order."""
+    rays = [v for basis in mermin_bases() for v in basis]
+    n = len(rays)
+    orth = [
+        sum(1 << j for j in range(n) if j != i and inner(rays[i], rays[j]).is_zero())
+        for i in range(n)
+    ]
+    found = []
+
+    def grow(chosen, candidates):
+        if len(chosen) == 8:
+            found.append([rays[i] for i in chosen])
+            return
+        for j in range(n):
+            if candidates >> j & 1:
+                grow(chosen + [j], candidates & orth[j] & ~((2 << j) - 1))
+
+    grow([], (1 << n) - 1)
+    return found
+
+
+@pytest.fixture(scope="session")
+def mermin_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mermin") / "mermin_star.scn"
+    path.write_text(bases_scenario_text("line", mermin_bases()))
+    return path
+
+
+@pytest.fixture(scope="session")
+def kernaghan_peres_text():
+    return bases_scenario_text("kp", kernaghan_peres_bases())
 
 
 @pytest.fixture(scope="session")
@@ -242,7 +354,7 @@ def operator_category(request):
     return request.getfixturevalue(request.param)
 
 
-# --- the subset-walk guard ---------------------------------------------------
+# --- diagonal operators ------------------------------------------------------
 
 def diagonal_operator(name, values):
     """The diagonal operator with one level per value, in dimension len(values)."""
@@ -252,25 +364,10 @@ def diagonal_operator(name, values):
     )
 
 
-class SubsetWalkStarted(Exception):
-    pass
-
-
-def refuse_subset_walks(monkeypatch):
-    """Make the first subset walk raise, so a build stops right after the
-    guard has either tripped or let it through."""
-    def refuse(projectors):
-        raise SubsetWalkStarted
-    monkeypatch.setattr(quantum, "_subset_sums", refuse)
-
-
-def passes_subset_guard(monkeypatch, ops, close):
-    """Whether building ``ops`` gets past the subset guard, without the walk."""
-    refuse_subset_walks(monkeypatch)
-    try:
-        build_operator_category(ops, close_under_questions=close)
-    except SubsetWalkStarted:
-        return True
-    except SizeLimitExceeded:
-        return False
-    raise AssertionError("the build walked no subsets")
+def category_shape(ocat):
+    """Object names, arrows and their spectrum functions, in build order."""
+    return (
+        list(ocat.base.objects),
+        [(a.id, a.dom, a.cod, ocat.arrow_functions[a.id]) for a in ocat.base.arrows.values()],
+        [op.spectrum for op in ocat.operators.values()],
+    )

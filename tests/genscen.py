@@ -102,6 +102,7 @@ def random_state(rng: random.Random, dim: int) -> State:
 class GeneratedScenario:
     seed: int
     dim: int
+    operators: list[SpectralOperator]
     category: OperatorCategory
     states: list[State]
 
@@ -118,7 +119,7 @@ def _build_once(seed: int) -> GeneratedScenario:
             ops.append(random_operator(rng, f"op{i}", dim))
     category = build_operator_category(ops, close_under_questions=True)
     states = [random_state(rng, dim) for _ in range(rng.randint(1, 2))]
-    return GeneratedScenario(seed, dim, category, states)
+    return GeneratedScenario(seed, dim, ops, category, states)
 
 
 def random_closed_scenario(seed: int) -> GeneratedScenario:

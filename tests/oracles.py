@@ -9,15 +9,30 @@ from every coloring.
 The state-induced sieve is recomputed one arrow at a time from the
 codomain's spectral projector, open-set implication is the union of every
 open that qualifies, and matrix products sum every term, zeros included.
+The operator category is built from projector matrices: subset sums of
+each object's projectors, interned by value, under a budget of matrix
+entries.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from sievelogic.errors import SizeLimitExceeded
-from sievelogic.exact import QC_ZERO, Matrix, Vector, as_fraction, mat_vec
-from sievelogic.fincat import FinCategory, arrows_from
+from sievelogic.exact import (
+    QC_ZERO,
+    Matrix,
+    Vector,
+    as_fraction,
+    identity_matrix,
+    is_zero_vector,
+    mat_add,
+    mat_vec,
+    zero_matrix,
+)
+from sievelogic.fincat import Arrow, FinCategory, arrows_from, thin_category
 from sievelogic.heyting import FiniteTopology, Sieve, is_sieve
 from sievelogic.presheaf import (
     DEFAULT_NODE_BUDGET,
@@ -27,7 +42,16 @@ from sievelogic.presheaf import (
     _search_order,
     element_key,
 )
-from sievelogic.quantum import OperatorCategory, State, spectral_projector
+from sievelogic.quantum import (
+    DimensionMismatch,
+    NameCollision,
+    OperatorCategory,
+    SpectralError,
+    SpectralOperator,
+    State,
+    spectral_projector,
+    spectrum_subsets,
+)
 
 
 def brute_force_sections(x: Presheaf) -> list[dict]:
@@ -228,3 +252,224 @@ def projector_fixpoint_sieve(
         if mat_vec(projector, state.vector) == state.vector:
             members.add(arrow.id)
     return frozenset(members)
+
+
+# Question closure and arrow discovery both walk the 2^n spectral subsets
+# of n-level operators, touching dim^2 matrix entries per subset. One
+# budget of entries is shared by both steps of a build, and every walk is
+# charged before either step starts.
+MAX_SUBSET_ENTRIES = 1 << 20
+
+
+def _structural_key(op: SpectralOperator) -> tuple:
+    """Identity up to naming: spectrum plus aligned projector list."""
+    return (op.spectrum, op.projectors)
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _charge_subsets(spent: int, stage: str, op: SpectralOperator, walks: int) -> int:
+    """``spent`` plus ``walks`` walks over the 2^n subsets of ``op``'s
+    spectrum; raises SizeLimitExceeded once that passes the budget."""
+    n = len(op.spectrum)
+    spent += walks * (1 << n) * op.dim * op.dim
+    if spent > MAX_SUBSET_ENTRIES:
+        raise SizeLimitExceeded(
+            f"{stage}: the 2^{n} spectral subsets of operator {op.name!r} "
+            f"(dimension {op.dim}) bring the subset work to {spent} matrix "
+            f"entries, over the guard of {MAX_SUBSET_ENTRIES}",
+            MAX_SUBSET_ENTRIES,
+        )
+    return spent
+
+
+def _subset_sums(projectors: Sequence[Matrix]) -> Iterable[tuple[int, Matrix]]:
+    """Every nonempty subset of ``projectors`` as (bit mask, sum), depth
+    first: each sum is its parent's plus one projector, and only the sums
+    on the current path stay alive."""
+    n = len(projectors)
+
+    def walk(mask: int, total: Matrix | None, start: int):
+        for i in range(start, n):
+            child = projectors[i] if total is None else mat_add(total, projectors[i])
+            yield mask | 1 << i, child
+            yield from walk(mask | 1 << i, child, i + 1)
+
+    return walk(0, None, 0)
+
+
+def _question_name(op_name: str, delta: Iterable[Fraction]) -> str:
+    return f"{op_name}[{','.join(str(v) for v in sorted(delta))}]"
+
+
+def matrix_operator_category(
+    operators: Sequence[SpectralOperator],
+    close_under_questions: bool = False,
+) -> OperatorCategory:
+    """The operator category from projector matrices: the engine's former
+    build and the reference for :func:`build_operator_category`.
+
+    With the flag set, every proper nonempty spectral subset of every given
+    operator is adjoined as a yes/no operator with spectrum inside {0, 1},
+    structurally equal operators are deduplicated, and the two constant
+    operators are added once as shared objects. Arrows are all spectrum
+    functions between objects (identities included); the underlying
+    category is thin.
+    """
+    seeds = list(operators)
+    if not seeds:
+        raise SpectralError("an operator category needs at least one operator")
+    dim = seeds[0].dim
+    names: set[str] = set()
+    for op in seeds:
+        if op.dim != dim:
+            raise DimensionMismatch(
+                f"operator {op.name!r} has dimension {op.dim}, expected {dim}"
+            )
+        if op.name in names:
+            raise NameCollision(f"duplicate operator name {op.name!r}")
+        names.add(op.name)
+
+    objects: list[SpectralOperator] = list(seeds)
+    structural: dict[tuple, str] = {}
+    for op in seeds:
+        structural.setdefault(_structural_key(op), op.name)
+
+    def adjoin(candidate: SpectralOperator) -> None:
+        if _structural_key(candidate) in structural:
+            return
+        name = candidate.name
+        while name in names:
+            name = name + "'"
+        if name != candidate.name:
+            candidate = SpectralOperator(
+                name, candidate.dim, candidate.spectrum, candidate.projectors
+            )
+        names.add(name)
+        structural[_structural_key(candidate)] = name
+        objects.append(candidate)
+
+    # Closure walks a seed's 2^n subsets and adds at most 2^n yes/no
+    # operators, each with 4 subsets for arrow discovery to walk: 5 walks'
+    # worth. Arrow discovery walks each seed once more.
+    spent = 0
+    for op in seeds:
+        if close_under_questions:
+            spent = _charge_subsets(spent, "question closure", op, 5)
+        spent = _charge_subsets(spent, "arrow discovery", op, 1)
+
+    if close_under_questions:
+        ident = identity_matrix(dim)
+        zero_f, one_f = Fraction(0), Fraction(1)
+        for op in seeds:
+            subset_sums = dict(_subset_sums(op.projectors))
+            bit = {a: 1 << i for i, a in enumerate(op.spectrum)}
+            for delta in spectrum_subsets(op):
+                if not delta or len(delta) == len(op.spectrum):
+                    continue
+                p1 = subset_sums[sum(bit[a] for a in delta)]
+                p0 = mat_sub(ident, p1)
+                adjoin(
+                    SpectralOperator(
+                        _question_name(op.name, delta), dim, (zero_f, one_f), (p0, p1)
+                    )
+                )
+        # The empty and full subsets collapse to the constants, shared once.
+        adjoin(SpectralOperator("const0", dim, (zero_f,), (ident,)))
+        adjoin(SpectralOperator("const1", dim, (one_f,), (ident,)))
+
+    op_by_name = {op.name: op for op in objects}
+
+    # Arrow discovery: B is a function of A iff every projector of B is a
+    # sum of projectors of A. Each distinct projector gets an int id once;
+    # each object then looks up each of its 2^n - 1 subset sums once and
+    # records the mask that hits each projector id. B is a codomain iff all
+    # its projectors are hit. The hitting masks are then disjoint and cover
+    # A (nonzero orthogonal projectors are linearly independent and both
+    # families sum to the identity), so they are the blocks of the unique
+    # spectrum function and nothing needs checking afterwards.
+    interned: dict[Matrix, int] = {}
+    projector_ids = [
+        tuple(interned.setdefault(p, len(interned)) for p in op.projectors)
+        for op in objects
+    ]
+    holders: dict[int, list[int]] = {}
+    for k, ids in enumerate(projector_ids):
+        for pid in ids:
+            holders.setdefault(pid, []).append(k)
+
+    arrows: list[Arrow] = []
+    functions: dict[str, dict[Fraction, Fraction]] = {}
+
+    for a_op in objects:
+        hit: dict[int, int] = {}
+        for mask, total in _subset_sums(a_op.projectors):
+            pid = interned.get(total)
+            if pid is not None:
+                hit[pid] = mask
+        for k in sorted({k for pid in hit for k in holders[pid]}):
+            if not all(pid in hit for pid in projector_ids[k]):
+                continue
+            b_op = objects[k]
+            value = [None] * len(a_op.spectrum)
+            for b, pid in zip(b_op.spectrum, projector_ids[k]):
+                for i in range(len(value)):
+                    if hit[pid] >> i & 1:
+                        value[i] = b
+            if a_op.name == b_op.name:
+                aid = f"id_{a_op.name}"
+            else:
+                aid = f"{a_op.name}->{b_op.name}"
+            arrows.append(Arrow(aid, a_op.name, b_op.name))
+            functions[aid] = dict(zip(a_op.spectrum, value))
+
+    base = thin_category([op.name for op in objects], arrows)
+    return OperatorCategory(base, op_by_name, functions)
+
+
+def _first_nonzero_column(m: Matrix) -> Vector:
+    n = len(m)
+    for j in range(n):
+        col = tuple(m[i][j] for i in range(n))
+        if not is_zero_vector(col):
+            return col
+    raise SpectralError("projector is the zero matrix")
+
+
+def matrix_find_arrow(
+    a_op: SpectralOperator, b_op: SpectralOperator
+) -> dict[Fraction, Fraction] | None:
+    """The unique spectrum function carrying ``a_op`` onto ``b_op``, if any,
+    from projector matrices: the reference for ``find_arrow``.
+
+    Exists iff every projector of ``b_op`` is an exact sum of projectors of
+    ``a_op``. The candidate is located through a range vector of each
+    projector and then verified exactly, so the answer is never heuristic.
+    """
+    if a_op.dim != b_op.dim:
+        raise DimensionMismatch(
+            f"operators {a_op.name!r} and {b_op.name!r} have different dimensions"
+        )
+    if len(b_op.spectrum) > len(a_op.spectrum):
+        return None
+    mapping: dict[Fraction, Fraction] = {}
+    for a, pa in zip(a_op.spectrum, a_op.projectors):
+        col = _first_nonzero_column(pa)
+        target = None
+        for b, pb in zip(b_op.spectrum, b_op.projectors):
+            if mat_vec(pb, col) == col:
+                target = b
+                break
+        if target is None:
+            return None
+        mapping[a] = target
+    for b, pb in zip(b_op.spectrum, b_op.projectors):
+        block = zero_matrix(a_op.dim)
+        for a, pa in zip(a_op.spectrum, a_op.projectors):
+            if mapping[a] == b:
+                block = mat_add(block, pa)
+        if block != pb:
+            return None
+    return mapping

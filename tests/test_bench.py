@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from sievelogic.heyting import open_set_heyting, sieve_algebra
+from sievelogic.quantum import MAX_QUESTIONS, build_operator_category
 from sievelogic.scenario import (
-    build_scenario_category,
     bundled_fixture,
     looks_like_topology,
     parse_scenario,
@@ -19,7 +19,8 @@ from sievelogic.scenario import (
     scenario_operators,
 )
 
-from conftest import passes_subset_guard
+from conftest import category_shape, scenario_category
+from oracles import matrix_operator_category
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,11 +74,18 @@ def bench_scenarios():
     return [parse_scenario(text) for text in _generated(_SCENARIOS_SCRIPT)]
 
 
-def test_bench_inputs_pass_subset_guard(monkeypatch, bench_scenarios):
+def test_bench_inputs_pass_closure_guard(bench_scenarios):
+    # Every input builds, with room under the guard, into the category the
+    # matrix reference builds.
     assert len(bench_scenarios) >= 30
     for scn in bench_scenarios:
         ops = scenario_operators(scn)
-        assert passes_subset_guard(monkeypatch, ops, scn.close_under_questions)
+        close = scn.close_under_questions
+        questions = sum((1 << len(op.spectrum)) - 2 for op in ops) if close else 0
+        assert questions <= MAX_QUESTIONS // 8
+        assert category_shape(build_operator_category(ops, close)) == category_shape(
+            matrix_operator_category(ops, close)
+        )
 
 
 def test_heyting_inputs_pass_table_guard():
@@ -88,6 +96,6 @@ def test_heyting_inputs_pass_table_guard():
         if looks_like_topology(text):
             open_set_heyting(parse_topology(text, source=name))
             continue
-        base = build_scenario_category(parse_scenario(text, source=name)).base
+        base = scenario_category(text, name).base
         for obj in base.objects:
             sieve_algebra(base, obj)

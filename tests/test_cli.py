@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sievelogic
+from sievelogic import quantum, scenario
 from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
@@ -248,15 +249,21 @@ def test_category_diag9_one_object_one_arrow(tmp_path):
     assert rd["arrow.0.fn"] == ",".join(f"{v}:{v}" for v in range(1, 10))
 
 
-@pytest.mark.parametrize("close, stage", [(False, "arrow discovery"), (True, "question closure")])
-def test_category_21_levels_exits_3(tmp_path, close, stage):
+@pytest.mark.parametrize("close", [False, True])
+def test_category_21_levels_exits_3(tmp_path, close):
+    # Only question closure grows exponentially with the levels: the
+    # unclosed operator is one object, the closed one trips the guard.
     code, out = run_cli("category", diagonal_scenario(tmp_path, 21, close), "--format", "record")
-    assert code == 3
     rd = record_dict(out)
+    if not close:
+        assert code == 0
+        assert (rd["objects"], rd["arrows"]) == ("1", "1")
+        return
+    assert code == 3
     assert rd["error"] == "SizeLimitExceeded"
-    assert rd["detail"].startswith(f"{stage}: the 2^21 spectral subsets of operator 'diag'")
-    assert rd["detail"].endswith(f"over the guard of {1 << 20}")
-    assert rd["guard"] == str(1 << 20)
+    assert rd["detail"].startswith("question closure: ")
+    assert rd["detail"].endswith("make 2097150, over the guard of 8192")
+    assert rd["guard"] == "8192"
 
 
 def test_category_closed_diag5_reports_the_sieve_cap(tmp_path):
@@ -451,3 +458,38 @@ def test_reports_identical_across_hash_seeds():
         assert all(lines[i - 1].startswith(f"work.nodes{sep}") for i in at)
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+# --- operators built once, projectors only where read ------------------------
+
+@pytest.mark.parametrize("command", ["validate", "category", "valuate", "ks-search", "heyting"])
+def test_each_operator_built_once_per_report(monkeypatch, command):
+    built = []
+    original = scenario.make_operator
+
+    def counting(name, dim, eigendata):
+        built.append(name)
+        return original(name, dim, eigendata)
+
+    monkeypatch.setattr(scenario, "make_operator", counting)
+    run_cli(command, CABELLO)
+    names = [decl.name for decl in scenario.parse_scenario(Path(CABELLO).read_text()).operators]
+    assert built == names
+
+
+@pytest.mark.parametrize("command", ["category", "ks-search", "heyting"])
+def test_reports_compute_no_projector(monkeypatch, command):
+    def refuse(op):
+        raise AssertionError(f"projectors of {op.name!r} computed")
+
+    monkeypatch.setattr(quantum.SpectralOperator, "projectors", property(refuse))
+    code, _ = run_cli(command, CABELLO)
+    assert code == 0
+
+
+def test_mermin_star_has_no_section(mermin_path):
+    code, out = run_cli("ks-search", str(mermin_path), "--format", "record")
+    assert code == 0
+    rec = record_dict(out)
+    assert (rec["objects"], rec["arrows"], rec["sections"]) == ("1257", "6289", "0")
+    assert rec["certificate"] == "KS-obstruction"

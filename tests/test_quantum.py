@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sievelogic
 from sievelogic import quantum
@@ -58,18 +59,19 @@ from sievelogic.quantum import (
     valuation_transformation,
     verify_spectral_operator,
 )
-from sievelogic.scenario import bundled_fixture, parse_scenario
+from sievelogic.scenario import bundled_fixture, parse_scenario, scenario_operators
 
 from conftest import (
     OPERATOR_CATEGORY_FIXTURES,
     THIN_OPERATOR_FIXTURES,
     bundled_category,
+    category_shape,
     diagonal_operator,
-    passes_subset_guard,
-    refuse_subset_walks,
+    mermin_bases,
+    scenario_category,
 )
 from genscen import random_orthogonal_basis
-from oracles import projector_fixpoint_sieve
+from oracles import matrix_find_arrow, matrix_operator_category, projector_fixpoint_sieve
 
 HALF = matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
 
@@ -202,7 +204,7 @@ def test_make_operator_overlap_matches_verifier(name, dim, eigendata):
 
 def test_function_identity(sigma_z):
     same = function_of(sigma_z, {F(1): 1, F(-1): -1}, name="copy")
-    assert same.structural_key() == sigma_z.structural_key()
+    assert (same.spectrum, same.projectors) == (sigma_z.spectrum, sigma_z.projectors)
 
 
 def test_function_square_merges(sigma_z):
@@ -357,11 +359,15 @@ def test_dimension_mismatch_category(sigma_z):
 
 
 def assert_matches_pairwise_find_arrow(ocat):
+    # find_arrow and the build against the projector-matrix reference, on
+    # every ordered pair of objects.
     names = ocat.base.objects
     endpoints = {(a.dom, a.cod): a.id for a in ocat.base.arrows.values()}
     for a_name in names:
         for b_name in names:
-            fn = find_arrow(ocat.operators[a_name], ocat.operators[b_name])
+            a_op, b_op = ocat.operators[a_name], ocat.operators[b_name]
+            fn = matrix_find_arrow(a_op, b_op)
+            assert find_arrow(a_op, b_op) == fn
             if fn is None:
                 assert (a_name, b_name) not in endpoints
             else:
@@ -395,31 +401,184 @@ def test_diagonal_category_matches_pairwise_find_arrow(n):
 
 @pytest.mark.parametrize("close", [False, True])
 def test_subset_guard_trips_before_any_subset_sum(monkeypatch, close):
-    refuse_subset_walks(monkeypatch)
-    stage = "question closure" if close else "arrow discovery"
+    # A 21-level operator walks no spectral subset: closed, the closure
+    # guard trips before the first question; unclosed, the build needs none.
+    def refuse(*args):
+        raise AssertionError("the build walked spectral subsets")
+
+    monkeypatch.setattr(quantum, "_subset_masks", refuse)
+    monkeypatch.setattr(quantum, "_coarsening", refuse)
+    wide = [diagonal_operator("wide", list(range(21)))]
+    if not close:
+        assert list(build_operator_category(wide).base.arrows) == ["id_wide"]
+        return
     with pytest.raises(SizeLimitExceeded) as info:
-        build_operator_category(
-            [diagonal_operator("wide", list(range(21)))], close_under_questions=close
-        )
-    message = str(info.value)
-    assert message.startswith(f"{stage}: the 2^21 spectral subsets of operator 'wide'")
-    assert message.endswith(f"over the guard of {quantum.MAX_SUBSET_ENTRIES}")
-    assert info.value.limit == quantum.MAX_SUBSET_ENTRIES
+        build_operator_category(wide, close_under_questions=True)
+    assert str(info.value) == (
+        "question closure: 2^n - 2 questions per n-level operator make "
+        "2097150, over the guard of 8192"
+    )
+    assert info.value.limit == quantum.MAX_QUESTIONS == 1 << 13
 
 
-def test_subset_guard_budget_is_shared(monkeypatch):
-    # Each 10-level operator fits the budget on its own; the two together
-    # do not, and the one that tips it over is named.
-    a, b = (diagonal_operator(name, list(range(10))) for name in ("a", "b"))
-    assert passes_subset_guard(monkeypatch, [a], True)
-    assert passes_subset_guard(monkeypatch, [b, a], False)
-    with pytest.raises(SizeLimitExceeded, match="question closure: .* 'b'"):
-        build_operator_category([a, b], close_under_questions=True)
+def test_closure_guard_counts_every_operator():
+    # A 13-level operator has 8,190 questions, inside the guard; with a
+    # three-level operator beside it, 8,196 are over it.
+    big = diagonal_operator("big", list(range(13)))
+    three = function_of(big, {F(v): min(v, 2) for v in range(13)}, name="three")
+    with pytest.raises(SizeLimitExceeded, match="make 8196, over the guard of 8192"):
+        build_operator_category([three, big], close_under_questions=True)
+
+
+def test_closure_guard_admits_its_limit():
+    # 8,190 + 2 questions: exactly the guard. The two-level operator is the
+    # question big[0,...,5], so it adds no object.
+    big = diagonal_operator("big", list(range(13)))
+    two = function_of(big, {F(v): int(v < 6) for v in range(13)}, name="two")
+    ocat = build_operator_category([big, two], close_under_questions=True)
+    assert len(ocat.base.objects) == 2 + 8189 + 2
+    assert "big[0,1,2,3,4,5]" not in ocat.operators
+    assert "big->two" in ocat.base.arrows
 
 
 @pytest.mark.parametrize("close", [False, True])
-def test_diag9_passes_subset_guard(monkeypatch, close):
-    assert passes_subset_guard(monkeypatch, [diagonal_operator("d", list(range(9)))], close)
+def test_diag9_passes_subset_guard(close):
+    # 510 questions, well inside the guard: the operator, its questions and
+    # the two constants.
+    ocat = build_operator_category(
+        [diagonal_operator("d", list(range(9)))], close_under_questions=close
+    )
+    assert len(ocat.base.objects) == (1 + 510 + 2 if close else 1)
+
+
+# --- the overlap build against the matrix reference --------------------------
+
+def assert_matches_matrix_reference(ops, close):
+    assert category_shape(build_operator_category(ops, close)) == category_shape(
+        matrix_operator_category(ops, close)
+    )
+
+
+@pytest.mark.parametrize("close", [False, True])
+@pytest.mark.parametrize("name", ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn"])
+def test_build_matches_matrix_reference_on_fixtures(name, close):
+    scn = parse_scenario(bundled_fixture(name).read_text(), name)
+    assert_matches_matrix_reference(scenario_operators(scn), close)
+
+
+def test_build_matches_matrix_reference_on_generated(generated_scenarios):
+    for g in generated_scenarios:
+        assert category_shape(g.category) == category_shape(
+            matrix_operator_category(g.operators, True)
+        )
+
+
+def test_mermin_star_matches_matrix_reference(mermin_path):
+    entries = {(e.re, e.im) for basis in mermin_bases() for v in basis for e in v}
+    assert entries == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    scn = parse_scenario(mermin_path.read_text())
+    ops = scenario_operators(scn)
+    ocat = build_operator_category(ops, close_under_questions=True)
+    assert (len(ocat.base.objects), len(ocat.base.arrows)) == (1257, 6289)
+    assert category_shape(ocat) == category_shape(
+        matrix_operator_category(ops, close_under_questions=True)
+    )
+
+
+def test_kernaghan_peres_passes_closure_guard(kernaghan_peres_text):
+    ocat = scenario_category(kernaghan_peres_text)
+    assert (len(ocat.base.objects), len(ocat.base.arrows)) == (5197, 27109)
+
+
+def _edge_families():
+    """Operator families whose closed categories hold arrows that no
+    question-only rule produces, each with one such arrow."""
+    sz = make_operator("sigma_z", 2, [(1, [(1, 0)]), (-1, [(0, 1)])])
+    a = diagonal_operator("A", [1, 2, 3])
+    flat = make_operator("five", 3, [(5, [(1, 0, 0), (0, 1, 1), (0, 1, -1)])])
+    question = function_of(a, {F(1): 1, F(2): 0, F(3): 0}, name="q")
+    twin = make_operator("B", 3, [(1, [(2, 0, 0)]), (2, [(0, 3, 0)]), (3, [(0, 0, 1)])])
+    rename = SpectralOperator("A[1]", 3, a.spectrum, a.projectors)
+    const = make_operator("const0", 3, [(7, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
+    return [
+        ("question_to_two_level_seed", [sz], "sigma_z[1]->sigma_z"),
+        ("question_to_one_level_seed", [a, flat], "A[1]->five"),
+        ("constant_to_one_level_seed", [a, flat], "const0->five"),
+        ("zero_one_seed_equals_question", [a, question], "A[2,3]->q"),
+        ("structurally_equal_seeds", [a, twin], "B->A"),
+        ("name_collides_with_question", [a, rename], "A->A[1]'"),
+        ("name_collides_with_constant", [a, const], "const0'->const0"),
+    ]
+
+
+@pytest.mark.parametrize("close", [False, True])
+@pytest.mark.parametrize(
+    "ops,arrow", [case[1:] for case in _edge_families()], ids=[case[0] for case in _edge_families()]
+)
+def test_build_matches_matrix_reference_on_edge_cases(ops, arrow, close):
+    assert_matches_matrix_reference(ops, close)
+    if close:
+        assert arrow in build_operator_category(ops, close_under_questions=True).base.arrows
+
+
+_VALUES = [F(v) for v in (-1, 0, 1, 2, 5)] + [F(1, 2)]
+_NAMES = ["A", "B", "C", "A[1]", "A[0,1]", "B[-1]", "const0", "const1"]
+
+
+@st.composite
+def operator_families(draw):
+    """One to four operators on a shared dimension: fresh orthogonal bases
+    (rational or complex, with degenerate eigenvalues), coarsenings, {0, 1}
+    coarsenings, relabelled copies and operators given only by their
+    projectors, under names that may collide with questions and constants."""
+    rng = draw(st.randoms(use_true_random=False))
+    dim = draw(st.integers(2, 4))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    ops = []
+    for name in names:
+        kind = draw(st.sampled_from(
+            ["basis", "coarsening", "question", "copy", "projectors"] if ops else ["basis"]
+        ))
+        if kind == "basis":
+            if draw(st.booleans()):
+                basis = random_orthogonal_basis(rng, dim)
+            else:
+                basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+            values = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=dim, unique=True))
+            groups = [[v] for v in basis[:len(values)]]
+            for v in basis[len(values):]:
+                groups[draw(st.integers(0, len(values) - 1))].append(v)
+            ops.append(make_operator(name, dim, list(zip(values, groups))))
+            continue
+        source = draw(st.sampled_from(ops))
+        if kind == "coarsening":
+            fn = {a: draw(st.sampled_from(_VALUES)) for a in source.spectrum}
+        elif kind == "question":
+            fn = {a: draw(st.sampled_from([0, 1])) for a in source.spectrum}
+        else:
+            fn = {a: a for a in source.spectrum}
+        op = function_of(source, fn, name=name)
+        if kind == "projectors":
+            op = SpectralOperator(name, dim, op.spectrum, op.projectors)
+        ops.append(op)
+    return ops
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(operator_families(), st.booleans())
+def test_build_matches_matrix_reference_on_random_families(ops, close):
+    assert_matches_matrix_reference(ops, close)
+
+
+def test_projector_view_is_cached_and_kept(sigma_z):
+    given_projectors = (matrix([[1, 0], [0, 0]]), matrix([[0, 0], [0, 1]]))
+    op = SpectralOperator("p", 2, (F(-1), F(1)), given_projectors)
+    assert op.projectors is given_projectors
+    assert op.vectors == (
+        (((1, 0), (0, 0)),),
+        (((0, 1), (0, 0)),),
+    )
+    assert sigma_z.projectors is sigma_z.projectors
 
 
 @pytest.mark.parametrize("operator_category", OPERATOR_CATEGORY_FIXTURES, indirect=True)
@@ -433,7 +592,8 @@ def test_arrow_functions_reproduce_codomain(operator_categories):
     for ocat in operator_categories:
         for a in ocat.base.arrows.values():
             image = function_of(ocat.operators[a.dom], ocat.arrow_functions[a.id])
-            assert image.structural_key() == ocat.operators[a.cod].structural_key()
+            cod = ocat.operators[a.cod]
+            assert (image.spectrum, image.projectors) == (cod.spectrum, cod.projectors)
 
 
 def test_vshape_category_is_v_poset(vshape3):

@@ -19,6 +19,7 @@ from sievelogic.scenario import (
     parse_scenario,
     parse_topology,
     parse_vector,
+    scenario_operators,
     scenario_states,
     validate_scenario,
 )
@@ -117,7 +118,7 @@ def test_parse_scenario_good():
     assert list(scn.states) == ["plus"]
     assert scn.close_under_questions
     assert scn.queries[0].delta == (F(1), F(-1))
-    validate_scenario(scn)
+    validate_scenario(scn, scenario_operators(scn))
 
 
 def test_degenerate_eigenvalue_vectors():
@@ -125,7 +126,7 @@ def test_degenerate_eigenvalue_vectors():
         "DIM 3\nOPERATOR a\nEIGENVALUE 0 : (1,0,0), (0,1,0)\nEIGENVALUE 1 : (0,0,1)\n"
     )
     assert len(scn.operators[0].eigendata[0][1]) == 2
-    validate_scenario(scn)
+    validate_scenario(scn, scenario_operators(scn))
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -163,7 +164,7 @@ def test_validate_scenario_unknown_state():
         "QUERY ghost z {1}\n"
     )
     with pytest.raises(UnknownName, match="ghost"):
-        validate_scenario(scn)
+        validate_scenario(scn, scenario_operators(scn))
 
 
 def test_validate_scenario_unknown_operator():
@@ -172,7 +173,7 @@ def test_validate_scenario_unknown_operator():
         "STATE s (1,0)\nQUERY s ghost {1}\n"
     )
     with pytest.raises(UnknownName, match="ghost"):
-        validate_scenario(scn)
+        validate_scenario(scn, scenario_operators(scn))
 
 
 def test_validate_scenario_delta_outside_spectrum():
@@ -181,7 +182,7 @@ def test_validate_scenario_delta_outside_spectrum():
         "STATE s (1,0)\nQUERY s z {5}\n"
     )
     with pytest.raises(NotInSpectrum):
-        validate_scenario(scn)
+        validate_scenario(scn, scenario_operators(scn))
 
 
 def test_validate_scenario_not_orthogonal():
@@ -189,7 +190,7 @@ def test_validate_scenario_not_orthogonal():
         "DIM 2\nOPERATOR bad\nEIGENVALUE 1 : (1,0), (1,1)\n"
     )
     with pytest.raises(NotOrthogonal):
-        validate_scenario(scn)
+        validate_scenario(scn, scenario_operators(scn))
 
 
 def test_validate_scenario_wrong_state_length():
@@ -229,7 +230,7 @@ def test_looks_like_topology():
 def test_bundled_scenarios_valid():
     for name in ("sigma_z.scn", "sigma_zx.scn", "cabello18.scn"):
         scn = parse_scenario(bundled_fixture(name).read_text(), name)
-        validate_scenario(scn)
+        validate_scenario(scn, scenario_operators(scn))
 
 
 def test_bundled_topologies_valid():
@@ -239,7 +240,7 @@ def test_bundled_topologies_valid():
 
 def test_bundled_sigma_z_category():
     scn = parse_scenario(bundled_fixture("sigma_z.scn").read_text())
-    ocat = build_scenario_category(scn)
+    ocat = build_scenario_category(scn, scenario_operators(scn))
     assert len(ocat.base.objects) == 1
     assert len(ocat.base.arrows) == 1
 
