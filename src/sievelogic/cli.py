@@ -185,25 +185,18 @@ def _cmd_ks_search(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
 
 
 def _table_pairs(prefix: str, table: HeytingAlgebraTable, label) -> Pairs:
-    pairs: Pairs = []
-    index = {el: i for i, el in enumerate(table.elements)}
-    pairs.append((f"{prefix}.elements", str(len(table.elements))))
-    for i, el in enumerate(table.elements):
-        pairs.append((f"{prefix}.element.{i}", label(el)))
-    pairs.append((f"{prefix}.zero", str(index[table.zero])))
-    pairs.append((f"{prefix}.one", str(index[table.one])))
-    for op_name, op_table in (
-        ("meet", table.meet), ("join", table.join), ("implies", table.implies)
+    els = table.elements
+    pairs: Pairs = [(f"{prefix}.elements", str(len(els)))]
+    pairs.extend((f"{prefix}.element.{i}", label(el)) for i, el in enumerate(els))
+    pairs.append((f"{prefix}.zero", str(table.zero_index)))
+    pairs.append((f"{prefix}.one", str(table.one_index)))
+    for op_name, rows in (
+        ("meet", table.meet_rows), ("join", table.join_rows), ("implies", table.implies_rows)
     ):
-        for i, e1 in enumerate(table.elements):
-            row = ",".join(
-                str(index[op_table[(e1, e2)]]) for e2 in table.elements
-            )
-            pairs.append((f"{prefix}.{op_name}.{i}", row))
-    pairs.append(
-        (f"{prefix}.not",
-         ",".join(str(index[table.neg[e]]) for e in table.elements))
-    )
+        pairs.extend(
+            (f"{prefix}.{op_name}.{i}", ",".join(map(str, row))) for i, row in enumerate(rows)
+        )
+    pairs.append((f"{prefix}.not", ",".join(map(str, table.not_row))))
     violations = excluded_middle_violations(table)
     pairs.append((f"{prefix}.excluded_middle_violations", str(len(violations))))
     for i, el in enumerate(violations):

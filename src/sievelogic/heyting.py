@@ -14,12 +14,21 @@ mask of an arrow's post-composites fixes which sets are sieves, and meet,
 join and implication become a few integer operations per pair. The
 per-pair operations (``sieve_meet``, ``sieve_implies``, ...) stay as the
 definitional reference.
+
+A Heyting table is stored as rows of element indices, one row per element
+for meet, join and implies plus one not row, filled by one mask kernel for
+sieves and for open sets alike. The pair-keyed ``leq``/``meet``/``join``/
+``implies``/``neg`` mappings are read-only views over those rows, built
+only when first read; the law check and the CLI read the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property, reduce
+from operator import and_, itemgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .fincat import Arrow, Check, FinCategory, NotAPoset, UnknownArrow, arrows_from
@@ -250,16 +259,96 @@ def make_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> Fini
 
 @dataclass(frozen=True)
 class HeytingAlgebraTable:
-    """A finite Heyting algebra given by total operation tables."""
+    """A finite Heyting algebra given by total operation tables.
+
+    The tables are stored as rows of element indices: ``meet_rows[i][j]``
+    is the index in ``elements`` of ``elements[i] meet elements[j]``, and
+    likewise for join and implies; ``not_row[i]`` is the index of
+    ``neg elements[i]``. The bounds are the meet and the join of all the
+    elements, and ``x <= y`` iff ``x => y`` is the top. The pair-keyed
+    ``leq``/``meet``/``join``/``implies`` mappings and the ``neg`` mapping
+    are read-only views, built on first read; their values are the
+    table's own element objects.
+    """
 
     elements: tuple
-    leq: dict
-    meet: dict
-    join: dict
-    implies: dict
-    neg: dict
-    zero: object
-    one: object
+    meet_rows: tuple[tuple[int, ...], ...]
+    join_rows: tuple[tuple[int, ...], ...]
+    implies_rows: tuple[tuple[int, ...], ...]
+    not_row: tuple[int, ...]
+
+    @cached_property
+    def zero_index(self) -> int:
+        return reduce(lambda i, j: self.meet_rows[i][j], range(len(self.elements)))
+
+    @cached_property
+    def one_index(self) -> int:
+        return reduce(lambda i, j: self.join_rows[i][j], range(len(self.elements)))
+
+    @property
+    def zero(self):
+        return self.elements[self.zero_index]
+
+    @property
+    def one(self):
+        return self.elements[self.one_index]
+
+    def _pair_view(self, rows, value) -> Mapping:
+        els = self.elements
+        return MappingProxyType({
+            (x, y): value(k) for x, row in zip(els, rows) for y, k in zip(els, row)
+        })
+
+    @cached_property
+    def leq(self) -> Mapping:
+        one = self.one_index
+        return self._pair_view(self.implies_rows, lambda k: k == one)
+
+    @cached_property
+    def meet(self) -> Mapping:
+        return self._pair_view(self.meet_rows, self.elements.__getitem__)
+
+    @cached_property
+    def join(self) -> Mapping:
+        return self._pair_view(self.join_rows, self.elements.__getitem__)
+
+    @cached_property
+    def implies(self) -> Mapping:
+        return self._pair_view(self.implies_rows, self.elements.__getitem__)
+
+    @cached_property
+    def neg(self) -> Mapping:
+        els = self.elements
+        return MappingProxyType({x: els[k] for x, k in zip(els, self.not_row)})
+
+
+class _Implied(dict):
+    """Bad mask ``m1 & ~m2`` -> index of ``m1 => m2``, filled on first
+    lookup. Bit ``i`` belongs to ``m1 => m2`` iff ``ext[i]`` misses the bad
+    mask."""
+
+    def __init__(self, ext: list[int], pos: dict[int, int]):
+        super().__init__()
+        self.ext, self.pos = ext, pos
+
+    def __missing__(self, bad: int) -> int:
+        k = self[bad] = self.pos[sum(1 << i for i, e in enumerate(self.ext) if not e & bad)]
+        return k
+
+
+def _mask_table(elements: tuple, masks: list[int], ext: list[int]) -> HeytingAlgebraTable:
+    """The table of ``elements``, each given by its bit mask, where the
+    masks are closed under ``&``, ``|`` and the implication that ``ext``
+    defines (see ``_Implied``). Every cell is found by its mask."""
+    pos = {m: i for i, m in enumerate(masks)}
+    implied = _Implied(ext, pos)
+    meet = tuple(tuple([pos[m1 & m2] for m2 in masks]) for m1 in masks)
+    join = tuple(tuple([pos[m1 | m2] for m2 in masks]) for m1 in masks)
+    implies = tuple(tuple([implied[m1 & ~m2] for m2 in masks]) for m1 in masks)
+    zero = pos[0]
+    return HeytingAlgebraTable(
+        elements, meet, join, implies, tuple(row[zero] for row in implies)
+    )
 
 
 def _set_key(o: frozenset) -> tuple:
@@ -280,117 +369,124 @@ def open_set_heyting(topology: FiniteTopology) -> HeytingAlgebraTable:
     """The Heyting algebra of open sets: meet is intersection, join is union,
     negation is the interior of the complement.
 
-    ``o1 => o2`` is the interior of ``(points - o1) | o2``: the points whose
-    smallest open neighbourhood (the meet of the opens around them) lies
-    inside that set.
+    Each open is a bit mask over the sorted points. ``o1 => o2`` is the
+    interior of ``(points - o1) | o2``: the points whose smallest open
+    neighbourhood (the meet of the opens around them) misses ``o1 - o2``.
     """
-    opens = sorted(topology.opens, key=_set_key)
+    opens = tuple(sorted(topology.opens, key=_set_key))
     _check_table_size(f"topology on {len(topology.points)} points", len(opens))
-    zero = frozenset()
-    one = topology.points
-    nbhd = {p: one.intersection(*(o for o in opens if p in o)) for p in one}
-    leq, meet, join, implies = {}, {}, {}, {}
-    for o1 in opens:
-        outside = one - o1
-        for o2 in opens:
-            key = (o1, o2)
-            leq[key] = o1 <= o2
-            meet[key] = o1 & o2
-            join[key] = o1 | o2
-            allowed = outside | o2
-            implies[key] = frozenset(p for p in one if nbhd[p] <= allowed)
-    neg = {o: implies[(o, zero)] for o in opens}
-    return HeytingAlgebraTable(tuple(opens), leq, meet, join, implies, neg, zero, one)
+    bits = [1 << i for i in range(len(topology.points))]
+    bit = dict(zip(sorted(topology.points), bits))
+    masks = [sum(bit[p] for p in o) for o in opens]
+    nbhd = [reduce(and_, (m for m in masks if m & b), sum(bits)) for b in bits]
+    return _mask_table(opens, masks, nbhd)
 
 
 def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
     """The Heyting algebra of all sieves on ``obj``, tabulated.
 
-    Each sieve is a bit mask over ``arrows_from(obj)``: ``<=`` is mask
-    containment, meet and join are ``&`` and ``|``, and ``s1 => s2`` keeps
-    the arrows none of whose post-composites lie in ``s1`` but not ``s2``.
-    Every cell holds one of the shared elements, looked up by its mask.
+    Each sieve is a bit mask over ``arrows_from(obj)``: meet and join are
+    ``&`` and ``|``, and ``s1 => s2`` keeps the arrows none of whose
+    post-composites lie in ``s1`` but not ``s2``.
     """
     sieves = all_sieves(cat, obj)
     _check_table_size(f"object {obj!r}", len(sieves))
     outs, ext = _closure_masks(cat, obj)
     index = {a.id: i for i, a in enumerate(outs)}
     masks = [sum(1 << index[m] for m in sv.members) for sv in sieves]
-    by_mask = dict(zip(masks, sieves))
-    implied = {}  # m1 & ~m2 -> s1 => s2
-    leq, meet, join, implies = {}, {}, {}, {}
-    for s1, m1 in zip(sieves, masks):
-        for s2, m2 in zip(sieves, masks):
-            key = (s1, s2)
-            bad = m1 & ~m2
-            leq[key] = not bad
-            meet[key] = by_mask[m1 & m2]
-            join[key] = by_mask[m1 | m2]
-            if bad not in implied:
-                implied[bad] = by_mask[
-                    sum(1 << i for i, e in enumerate(ext) if not e & bad)
-                ]
-            implies[key] = implied[bad]
-    zero = by_mask[0]
-    neg = {s: implies[(s, zero)] for s in sieves}
-    return HeytingAlgebraTable(
-        sieves, leq, meet, join, implies, neg, zero, by_mask[(1 << len(outs)) - 1],
-    )
+    return _mask_table(sieves, masks, ext)
 
 
 def validate_heyting_table(table: HeytingAlgebraTable) -> Check:
     """Exhaustively check the distributive-lattice laws, the bounds, the
     Heyting adjunction and ``neg x = x => 0``. The witness names the first
-    failing law and its elements."""
-    els = table.elements
-    leq, meet, join, imp = table.leq, table.meet, table.join, table.implies
+    failing law and its elements.
 
-    if table.zero not in els or table.one not in els:
-        return Check(False, "zero or one is not an element")
-    for x in els:
-        if not leq[(table.zero, x)]:
-            return Check(False, f"zero not below {x!r}")
-        if not leq[(x, table.one)]:
-            return Check(False, f"{x!r} not below one")
-        if table.neg[x] != imp[(x, table.zero)]:
-            return Check(False, f"neg {x!r} differs from {x!r} => zero")
-        if not leq[(x, x)]:
-            return Check(False, f"leq not reflexive at {x!r}")
-        if meet[(x, x)] != x or join[(x, x)] != x:
-            return Check(False, f"idempotence fails at {x!r}")
-    for x in els:
-        for y in els:
-            if leq[(x, y)] and leq[(y, x)] and x != y:
-                return Check(False, f"leq not antisymmetric on {x!r}, {y!r}")
-            if leq[(x, y)] != (meet[(x, y)] == x):
-                return Check(False, f"leq/meet disagree on {x!r}, {y!r}")
-            if leq[(x, y)] != (join[(x, y)] == y):
-                return Check(False, f"leq/join disagree on {x!r}, {y!r}")
-            if meet[(x, y)] != meet[(y, x)] or join[(x, y)] != join[(y, x)]:
-                return Check(False, f"commutativity fails on {x!r}, {y!r}")
-            if meet[(x, join[(x, y)])] != x or join[(x, meet[(x, y)])] != x:
-                return Check(False, f"absorption fails on {x!r}, {y!r}")
-    for x in els:
-        for y in els:
-            for z in els:
-                if leq[(x, y)] and leq[(y, z)] and not leq[(x, z)]:
-                    return Check(False, f"transitivity fails on {x!r}, {y!r}, {z!r}")
-                if meet[(meet[(x, y)], z)] != meet[(x, meet[(y, z)])]:
-                    return Check(False, f"meet associativity fails on {x!r}, {y!r}, {z!r}")
-                if join[(join[(x, y)], z)] != join[(x, join[(y, z)])]:
-                    return Check(False, f"join associativity fails on {x!r}, {y!r}, {z!r}")
-                if meet[(x, join[(y, z)])] != join[(meet[(x, y)], meet[(x, z)])]:
-                    return Check(False, f"distributivity fails on {x!r}, {y!r}, {z!r}")
-                if join[(x, meet[(y, z)])] != meet[(join[(x, y)], join[(x, z)])]:
-                    return Check(False, f"dual distributivity fails on {x!r}, {y!r}, {z!r}")
-                # The adjunction s <= (s1 => s2) iff s meet s1 <= s2.
-                if leq[(x, imp[(y, z)])] != leq[(meet[(x, y)], z)]:
-                    return Check(False, f"adjunction fails on {x!r}, {y!r}, {z!r}")
+    The three-element laws compare whole rows: for each pair ``(x, y)``
+    each side is one row over ``z``, read by an ``itemgetter`` of another
+    row (``by[s](r)`` is the row ``z -> r[s[z]]``), and the elements are
+    named one ``z`` at a time only once a pair fails. (In a one-element
+    table an ``itemgetter`` returns a bare index, so its single pair
+    always takes the one-``z``-at-a-time path.)
+    """
+    els = table.elements
+    n = len(els)
+    meet, join, imp, neg = table.meet_rows, table.join_rows, table.implies_rows, table.not_row
+    zero, one = table.zero_index, table.one_index
+    leq = [tuple(k == one for k in row) for row in imp]
+
+    for x in range(n):
+        ex = els[x]
+        if not leq[zero][x]:
+            return Check(False, f"zero not below {ex!r}")
+        if not leq[x][one]:
+            return Check(False, f"{ex!r} not below one")
+        if neg[x] != imp[x][zero]:
+            return Check(False, f"neg {ex!r} differs from {ex!r} => zero")
+        if not leq[x][x]:
+            return Check(False, f"leq not reflexive at {ex!r}")
+        if meet[x][x] != x or join[x][x] != x:
+            return Check(False, f"idempotence fails at {ex!r}")
+    for x in range(n):
+        for y in range(n):
+            ex, ey = els[x], els[y]
+            if leq[x][y] and leq[y][x] and x != y:
+                return Check(False, f"leq not antisymmetric on {ex!r}, {ey!r}")
+            if leq[x][y] != (meet[x][y] == x):
+                return Check(False, f"leq/meet disagree on {ex!r}, {ey!r}")
+            if leq[x][y] != (join[x][y] == y):
+                return Check(False, f"leq/join disagree on {ex!r}, {ey!r}")
+            if meet[x][y] != meet[y][x] or join[x][y] != join[y][x]:
+                return Check(False, f"commutativity fails on {ex!r}, {ey!r}")
+            if meet[x][join[x][y]] != x or join[x][meet[x][y]] != x:
+                return Check(False, f"absorption fails on {ex!r}, {ey!r}")
+    # Once the pair laws hold, x <= y <= z with x not below z makes
+    # meet(meet(x, y), z) = meet(x, z) differ from meet(x, meet(y, z)) = x,
+    # so the meet-associativity rows also catch every transitivity failure.
+    by_meet, by_join, by_imp = ([itemgetter(*row) for row in rows] for rows in (meet, join, imp))
+    for x in range(n):
+        mx, jx, lx = meet[x], join[x], leq[x]
+        for y in range(n):
+            mxy, jxy = mx[y], jx[y]
+            if (
+                meet[mxy] != by_meet[y](mx)
+                or join[jxy] != by_join[y](jx)
+                or by_join[y](mx) != by_meet[x](join[mxy])
+                or by_meet[y](jx) != by_join[x](meet[jxy])
+                or by_imp[y](lx) != leq[mxy]
+            ):
+                witness = _triple_witness(table, leq, x, y)
+                if witness:
+                    return Check(False, witness)
     return Check(True)
+
+
+def _triple_witness(table: HeytingAlgebraTable, leq: list, x: int, y: int) -> str | None:
+    """The first three-element law to fail on ``(x, y, z)``, over ``z`` in order."""
+    els = table.elements
+    meet, join, imp = table.meet_rows, table.join_rows, table.implies_rows
+    for z in range(len(els)):
+        on = f"{els[x]!r}, {els[y]!r}, {els[z]!r}"
+        if leq[x][y] and leq[y][z] and not leq[x][z]:
+            return f"transitivity fails on {on}"
+        if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
+            return f"meet associativity fails on {on}"
+        if join[join[x][y]][z] != join[x][join[y][z]]:
+            return f"join associativity fails on {on}"
+        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+            return f"distributivity fails on {on}"
+        if join[x][meet[y][z]] != meet[join[x][y]][join[x][z]]:
+            return f"dual distributivity fails on {on}"
+        # The adjunction s <= (s1 => s2) iff s meet s1 <= s2.
+        if leq[x][imp[y][z]] != leq[meet[x][y]][z]:
+            return f"adjunction fails on {on}"
+    return None
 
 
 def excluded_middle_violations(table: HeytingAlgebraTable) -> tuple:
     """Elements x with ``x join neg x != one`` (empty for Boolean algebras)."""
+    one = table.one_index
     return tuple(
-        x for x in table.elements if table.join[(x, table.neg[x])] != table.one
+        x for x, row, k in zip(table.elements, table.join_rows, table.not_row)
+        if row[k] != one
     )

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +34,35 @@ from sievelogic.scenario import (
     parse_scenario,
     scenario_operators,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_json(script: str):
+    """What ``script``, run inside ``perfbench/``, prints as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=PERFBENCH, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout)
+
+
+# Prints the seed, name and text of every heyting-tables input, seeds 1-3.
+_HEYTING_SCRIPT = """
+import json, workloads
+print(json.dumps([
+    (seed, req.filename, req.text)
+    for seed in (1, 2, 3)
+    for req in workloads.generate("heyting-tables", seed)
+]))
+"""
+
+
+@pytest.fixture(scope="session")
+def heyting_bench_inputs():
+    """``(seed, filename, text)`` of every heyting-tables input, seeds 1-3."""
+    return [tuple(entry) for entry in perfbench_json(_HEYTING_SCRIPT)]
 
 
 # --- plain categories -------------------------------------------------------

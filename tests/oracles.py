@@ -9,6 +9,8 @@ from every coloring.
 The state-induced sieve is recomputed one arrow at a time from the
 codomain's spectral projector, open-set implication is the union of every
 open that qualifies, and matrix products sum every term, zeros included.
+Heyting report fields are rendered, and the Heyting laws checked, through
+a table's pair-keyed views, one cell and one element lookup at a time.
 The operator category is built from projector matrices: subset sums of
 each object's projectors, interned by value, under a budget of matrix
 entries.
@@ -32,8 +34,8 @@ from sievelogic.exact import (
     mat_vec,
     zero_matrix,
 )
-from sievelogic.fincat import Arrow, FinCategory, arrows_from, thin_category
-from sievelogic.heyting import FiniteTopology, Sieve, is_sieve
+from sievelogic.fincat import Arrow, Check, FinCategory, arrows_from, thin_category
+from sievelogic.heyting import FiniteTopology, HeytingAlgebraTable, Sieve, is_sieve
 from sievelogic.presheaf import (
     DEFAULT_NODE_BUDGET,
     GlobalSection,
@@ -182,6 +184,83 @@ def union_implies(topology: FiniteTopology, o1: frozenset, o2: frozenset) -> fro
         if u & o1 <= o2:
             best |= u
     return best
+
+
+def dict_table_pairs(prefix: str, table: HeytingAlgebraTable, label) -> list[tuple[str, str]]:
+    """The ``heyting`` report fields of one table, read cell by cell
+    through its pair-keyed views: each cell's element is looked up by
+    value in the element index."""
+    pairs = []
+    index = {el: i for i, el in enumerate(table.elements)}
+    pairs.append((f"{prefix}.elements", str(len(table.elements))))
+    for i, el in enumerate(table.elements):
+        pairs.append((f"{prefix}.element.{i}", label(el)))
+    pairs.append((f"{prefix}.zero", str(index[table.zero])))
+    pairs.append((f"{prefix}.one", str(index[table.one])))
+    for op_name, op_table in (
+        ("meet", table.meet), ("join", table.join), ("implies", table.implies)
+    ):
+        for i, e1 in enumerate(table.elements):
+            row = ",".join(
+                str(index[op_table[(e1, e2)]]) for e2 in table.elements
+            )
+            pairs.append((f"{prefix}.{op_name}.{i}", row))
+    pairs.append(
+        (f"{prefix}.not",
+         ",".join(str(index[table.neg[e]]) for e in table.elements))
+    )
+    violations = [x for x in table.elements if table.join[(x, table.neg[x])] != table.one]
+    pairs.append((f"{prefix}.excluded_middle_violations", str(len(violations))))
+    for i, el in enumerate(violations):
+        pairs.append((f"{prefix}.excluded_middle_violation.{i}", label(el)))
+    return pairs
+
+
+def dict_validate_heyting_table(table: HeytingAlgebraTable) -> Check:
+    """The Heyting-algebra laws checked one triple at a time through the
+    pair-keyed views, in the order and with the witnesses of
+    ``validate_heyting_table``."""
+    els = table.elements
+    leq, meet, join, imp = table.leq, table.meet, table.join, table.implies
+    for x in els:
+        if not leq[(table.zero, x)]:
+            return Check(False, f"zero not below {x!r}")
+        if not leq[(x, table.one)]:
+            return Check(False, f"{x!r} not below one")
+        if table.neg[x] != imp[(x, table.zero)]:
+            return Check(False, f"neg {x!r} differs from {x!r} => zero")
+        if not leq[(x, x)]:
+            return Check(False, f"leq not reflexive at {x!r}")
+        if meet[(x, x)] != x or join[(x, x)] != x:
+            return Check(False, f"idempotence fails at {x!r}")
+    for x in els:
+        for y in els:
+            if leq[(x, y)] and leq[(y, x)] and x != y:
+                return Check(False, f"leq not antisymmetric on {x!r}, {y!r}")
+            if leq[(x, y)] != (meet[(x, y)] == x):
+                return Check(False, f"leq/meet disagree on {x!r}, {y!r}")
+            if leq[(x, y)] != (join[(x, y)] == y):
+                return Check(False, f"leq/join disagree on {x!r}, {y!r}")
+            if meet[(x, y)] != meet[(y, x)] or join[(x, y)] != join[(y, x)]:
+                return Check(False, f"commutativity fails on {x!r}, {y!r}")
+            if meet[(x, join[(x, y)])] != x or join[(x, meet[(x, y)])] != x:
+                return Check(False, f"absorption fails on {x!r}, {y!r}")
+    for x in els:
+        for y in els:
+            for z in els:
+                if leq[(x, y)] and leq[(y, z)] and not leq[(x, z)]:
+                    return Check(False, f"transitivity fails on {x!r}, {y!r}, {z!r}")
+                if meet[(meet[(x, y)], z)] != meet[(x, meet[(y, z)])]:
+                    return Check(False, f"meet associativity fails on {x!r}, {y!r}, {z!r}")
+                if join[(join[(x, y)], z)] != join[(x, join[(y, z)])]:
+                    return Check(False, f"join associativity fails on {x!r}, {y!r}, {z!r}")
+                if meet[(x, join[(y, z)])] != join[(meet[(x, y)], meet[(x, z)])]:
+                    return Check(False, f"distributivity fails on {x!r}, {y!r}, {z!r}")
+                if join[(x, meet[(y, z)])] != meet[(join[(x, y)], join[(x, z)])]:
+                    return Check(False, f"dual distributivity fails on {x!r}, {y!r}, {z!r}")
+                if leq[(x, imp[(y, z)])] != leq[(meet[(x, y)], z)]:
+                    return Check(False, f"adjunction fails on {x!r}, {y!r}, {z!r}")
+    return Check(True)
 
 
 def dense_mat_mul(a: Matrix, b: Matrix) -> Matrix:

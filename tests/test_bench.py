@@ -5,7 +5,6 @@ stays inside the size guards, as does every bundled fixture."""
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,10 +18,10 @@ from sievelogic.scenario import (
     scenario_operators,
 )
 
-from conftest import category_shape, scenario_category
+from conftest import PERFBENCH, category_shape, perfbench_json, scenario_category
 from oracles import matrix_operator_category
 
-ROOT = Path(__file__).resolve().parent.parent
+ROOT = PERFBENCH.parent
 
 # Prints the text of every scenario file the four workloads write, seeds 1-3.
 _SCENARIOS_SCRIPT = """
@@ -36,25 +35,7 @@ print(json.dumps([
 ]))
 """
 
-# Prints the name and text of every heyting-tables input, seeds 1-3.
-_HEYTING_SCRIPT = """
-import json, workloads
-print(json.dumps([
-    (req.filename, req.text)
-    for seed in (1, 2, 3)
-    for req in workloads.generate("heyting-tables", seed)
-]))
-"""
-
 _FIXTURES = ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn", "sierpinski.top", "vposet.top"]
-
-
-def _generated(script):
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=ROOT / "perfbench", capture_output=True, text=True, check=True, timeout=120,
-    )
-    return json.loads(done.stdout)
 
 
 def test_smoke_workload_runs_clean():
@@ -71,7 +52,7 @@ def test_smoke_workload_runs_clean():
 
 @pytest.fixture(scope="module")
 def bench_scenarios():
-    return [parse_scenario(text) for text in _generated(_SCENARIOS_SCRIPT)]
+    return [parse_scenario(text) for text in perfbench_json(_SCENARIOS_SCRIPT)]
 
 
 def test_bench_inputs_pass_closure_guard(bench_scenarios):
@@ -88,8 +69,8 @@ def test_bench_inputs_pass_closure_guard(bench_scenarios):
         )
 
 
-def test_heyting_inputs_pass_table_guard():
-    inputs = _generated(_HEYTING_SCRIPT)
+def test_heyting_inputs_pass_table_guard(heyting_bench_inputs):
+    inputs = [(name, text) for _, name, text in heyting_bench_inputs]
     inputs += [(name, bundled_fixture(name).read_text()) for name in _FIXTURES]
     assert len(inputs) == 12 + len(_FIXTURES)
     for name, text in inputs:

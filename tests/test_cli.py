@@ -9,14 +9,15 @@ from pathlib import Path
 import pytest
 
 import sievelogic
-from sievelogic import quantum, scenario
+from sievelogic import cli, heyting, quantum, scenario
 from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
 from sievelogic.scenario import bundled_fixture
 
 from conftest import peres_bases
-from oracles import backtrack_section_search, count_one_per_basis_colorings
+from genscen import scenario_text
+from oracles import backtrack_section_search, count_one_per_basis_colorings, dict_table_pairs
 
 
 def run_cli(*argv):
@@ -435,7 +436,13 @@ def _reports_under_hashseed(seed: int, argvs: list[list[str]]) -> str:
     return done.stdout.decode("utf-8")
 
 
-def test_reports_identical_across_hash_seeds():
+def test_reports_identical_across_hash_seeds(tmp_path, heyting_bench_inputs):
+    # A closed four-level context: its largest sieve algebra has 130 elements.
+    contexts1 = tmp_path / "contexts1_0.scn"
+    contexts1.write_text(next(
+        text for seed, name, text in heyting_bench_inputs
+        if (seed, name) == (1, "contexts1_0.scn")
+    ))
     argvs = [
         [command, path, "--format", fmt]
         for command, path in [
@@ -444,11 +451,13 @@ def test_reports_identical_across_hash_seeds():
             ("valuate", SIGMA_Z), ("valuate", SIGMA_ZX),
             ("heyting", SIGMA_Z), ("heyting", SIGMA_ZX),
             ("heyting", SIERPINSKI), ("heyting", VPOSET_TOP),
+            ("heyting", str(contexts1)),
         ]
         for fmt in ("human", "record")
     ]
     outputs = [_reports_under_hashseed(seed, argvs) for seed in (0, 1, 2)]
     assert outputs[0].count("exit 0\n") == len(argvs)
+    assert "elements: 130\n" in outputs[0] and "elements 130\n" in outputs[0]
     # Every ks-search report, in both formats, ends its work counters with
     # work.prunes right after work.nodes.
     lines = outputs[0].splitlines()
@@ -458,6 +467,53 @@ def test_reports_identical_across_hash_seeds():
         assert all(lines[i - 1].startswith(f"work.nodes{sep}") for i in at)
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+# --- heyting reports against the dict-view rendering --------------------------
+
+def assert_heyting_matches_reference(monkeypatch, path):
+    """``heyting`` stdout in both formats equals the report whose table
+    fields are read cell by cell through the pair-keyed views."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_table_pairs", dict_table_pairs)
+        pairs, notes = cli._cmd_heyting(path, None)
+    for fmt in ("human", "record"):
+        assert run_cli("heyting", path, "--format", fmt) == (0, cli._render(pairs, fmt, notes))
+
+
+@pytest.mark.parametrize(
+    "name", ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn", "sierpinski.top", "vposet.top"]
+)
+def test_heyting_report_matches_reference_on_fixtures(monkeypatch, name):
+    assert_heyting_matches_reference(monkeypatch, str(bundled_fixture(name)))
+
+
+def test_heyting_report_matches_reference_on_generated(monkeypatch, tmp_path, generated_scenarios):
+    for g in generated_scenarios:
+        path = tmp_path / f"generated{g.seed}.scn"
+        path.write_text(scenario_text(g))
+        assert_heyting_matches_reference(monkeypatch, str(path))
+
+
+def test_heyting_report_matches_reference_on_bench_inputs(
+    monkeypatch, tmp_path, heyting_bench_inputs
+):
+    assert len(heyting_bench_inputs) == 12
+    for seed, name, text in heyting_bench_inputs:
+        path = tmp_path / f"{seed}_{name}"
+        path.write_text(text)
+        assert_heyting_matches_reference(monkeypatch, str(path))
+
+
+@pytest.mark.parametrize("path", [CABELLO, VPOSET_TOP])
+def test_heyting_report_reads_no_pair_view(monkeypatch, path):
+    def refuse(table):
+        raise AssertionError("a pair-keyed view was built")
+
+    for view in ("leq", "meet", "join", "implies", "neg"):
+        monkeypatch.setattr(heyting.HeytingAlgebraTable, view, property(refuse))
+    code, _ = run_cli("heyting", path)
+    assert code == 0
 
 
 # --- operators built once, projectors only where read ------------------------
