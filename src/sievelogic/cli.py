@@ -128,7 +128,7 @@ def _cmd_category(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
         pairs.append((f"arrow.{i}.id", aid))
         pairs.append((f"arrow.{i}.dom", a.dom))
         pairs.append((f"arrow.{i}.cod", a.cod))
-        pairs.append((f"arrow.{i}.fn", _format_fn(ocat.arrow_functions[aid])))
+        pairs.append((f"arrow.{i}.fn", _format_fn(ocat.arrow_function(aid))))
     return pairs, ()
 
 
@@ -160,10 +160,8 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
             arrow = ocat.base.arrows[aid]
             pairs.append((f"query.{i}.sieve.member.{j}.arrow", aid))
             pairs.append((f"query.{i}.sieve.member.{j}.target", arrow.cod))
-            pairs.append(
-                (f"query.{i}.sieve.member.{j}.fn",
-                 _format_fn(ocat.arrow_functions[aid]))
-            )
+            fn = _format_fn(ocat.arrow_function(aid))
+            pairs.append((f"query.{i}.sieve.member.{j}.fn", fn))
     return pairs, ()
 
 

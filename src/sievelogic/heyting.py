@@ -233,27 +233,33 @@ class FiniteTopology:
     opens: frozenset[frozenset[str]]
 
 
+def _topology_defect(pts: frozenset, fam: frozenset) -> str | None:
+    """The first topology law the family of opens ``fam`` breaks, with a
+    witness, or None; opens are visited in ``_set_key`` order."""
+    opens = sorted(fam, key=_set_key)
+    for o in opens:
+        if not o <= pts:
+            return f"open set {sorted(o)} is not a subset of the points"
+    if frozenset() not in fam:
+        return "the empty set is not open"
+    if pts not in fam:
+        return "the full point set is not open"
+    for i, o1 in enumerate(opens):
+        for o2 in opens[i:]:
+            if o1 | o2 not in fam:
+                return f"not closed under union: {sorted(o1)} | {sorted(o2)}"
+            if o1 & o2 not in fam:
+                return f"not closed under intersection: {sorted(o1)} & {sorted(o2)}"
+    return None
+
+
 def make_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteTopology:
     """Validate a finite family of opens; raises NotATopology with a witness."""
     pts = frozenset(points)
     fam = frozenset(frozenset(o) for o in opens)
-    for o in fam:
-        if not o <= pts:
-            raise NotATopology(f"open set {sorted(o)} is not a subset of the points")
-    if frozenset() not in fam:
-        raise NotATopology("the empty set is not open")
-    if pts not in fam:
-        raise NotATopology("the full point set is not open")
-    for o1 in fam:
-        for o2 in fam:
-            if o1 | o2 not in fam:
-                raise NotATopology(
-                    f"not closed under union: {sorted(o1)} | {sorted(o2)}"
-                )
-            if o1 & o2 not in fam:
-                raise NotATopology(
-                    f"not closed under intersection: {sorted(o1)} & {sorted(o2)}"
-                )
+    defect = _topology_defect(pts, fam)
+    if defect is not None:
+        raise NotATopology(defect)
     return FiniteTopology(pts, fam)
 
 
@@ -372,14 +378,21 @@ def open_set_heyting(topology: FiniteTopology) -> HeytingAlgebraTable:
     Each open is a bit mask over the sorted points. ``o1 => o2`` is the
     interior of ``(points - o1) | o2``: the points whose smallest open
     neighbourhood (the meet of the opens around them) misses ``o1 - o2``.
+
+    The opens are not checked up front (``make_topology`` does that); a
+    family that is not a topology misses some mask, and only then is the
+    broken law looked up, to raise NotATopology with a witness.
     """
     opens = tuple(sorted(topology.opens, key=_set_key))
     _check_table_size(f"topology on {len(topology.points)} points", len(opens))
     bits = [1 << i for i in range(len(topology.points))]
     bit = dict(zip(sorted(topology.points), bits))
-    masks = [sum(bit[p] for p in o) for o in opens]
-    nbhd = [reduce(and_, (m for m in masks if m & b), sum(bits)) for b in bits]
-    return _mask_table(opens, masks, nbhd)
+    try:
+        masks = [sum(bit[p] for p in o) for o in opens]
+        nbhd = [reduce(and_, (m for m in masks if m & b), sum(bits)) for b in bits]
+        return _mask_table(opens, masks, nbhd)
+    except KeyError:
+        raise NotATopology(_topology_defect(topology.points, topology.opens)) from None
 
 
 def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:

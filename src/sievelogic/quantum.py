@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SieveLogicError, SizeLimitExceeded
@@ -55,7 +56,6 @@ from .presheaf import (
     NaturalTransformation,
     Presheaf,
     global_sections,
-    make_presheaf,
     omega_presheaf,
     DEFAULT_NODE_BUDGET,
 )
@@ -275,18 +275,20 @@ def function_of(
     return _coarsening(op, name, spectrum, [masks[b] for b in spectrum])
 
 
-def spectral_projector(op: SpectralOperator, delta: Iterable[RationalLike]) -> Matrix:
-    """The projector onto the eigenspaces of the eigenvalues in ``delta``."""
+def _levels(op: SpectralOperator, delta: Iterable[RationalLike]) -> list[int]:
+    """The indices in ``op.spectrum`` of the eigenvalues in ``delta``."""
     dset = frozenset(as_fraction(d) for d in delta)
     extra = dset - set(op.spectrum)
     if extra:
-        raise NotInSpectrum(
-            f"{sorted(extra)} not in the spectrum of {op.name!r}"
-        )
+        raise NotInSpectrum(f"{sorted(extra)} not in the spectrum of {op.name!r}")
+    return [i for i, a in enumerate(op.spectrum) if a in dset]
+
+
+def spectral_projector(op: SpectralOperator, delta: Iterable[RationalLike]) -> Matrix:
+    """The projector onto the eigenspaces of the eigenvalues in ``delta``."""
     total = zero_matrix(op.dim)
-    for a, p in zip(op.spectrum, op.projectors):
-        if a in dset:
-            total = mat_add(total, p)
+    for i in _levels(op, delta):
+        total = mat_add(total, op.projectors[i])
     return total
 
 
@@ -342,8 +344,8 @@ def find_arrow(
         raise DimensionMismatch(
             f"operators {a_op.name!r} and {b_op.name!r} have different dimensions"
         )
-    image = _image(b_op, _overlaps(a_op, b_op))
-    return None if image is None else dict(zip(a_op.spectrum, image))
+    image = _image(_overlaps(a_op, b_op))
+    return None if image is None else _function(a_op, b_op, image)
 
 
 def born_prob(
@@ -362,14 +364,22 @@ def born_prob(
     return value.re / norm_sq(state.vector)
 
 
+def _function(a_op: SpectralOperator, b_op: SpectralOperator, image) -> dict[Fraction, Fraction]:
+    """Level ``i`` of ``a_op`` to level ``image[i]`` of ``b_op``, as eigenvalues."""
+    return {a: b_op.spectrum[j] for a, j in zip(a_op.spectrum, image)}
+
+
 @dataclass(frozen=True)
 class OperatorCategory:
     """A thin category of spectral operators: objects tagged by name, each
-    arrow carrying the spectrum function that realizes it."""
+    arrow stored once as its spectrum function on levels: ``images[aid][i]``
+    is the codomain level of domain level ``i``. ``arrow_function`` and the
+    read-only ``arrow_functions`` view (built on first read) give eigenvalue
+    dicts."""
 
     base: FinCategory
     operators: dict[str, SpectralOperator]
-    arrow_functions: dict[str, dict[Fraction, Fraction]]
+    images: dict[str, tuple[int, ...]]
 
     def operator(self, name: str) -> SpectralOperator:
         try:
@@ -378,11 +388,19 @@ class OperatorCategory:
             raise UnknownObject(f"no operator named {name!r}") from None
 
     def arrow_function(self, arrow_id: str) -> dict[Fraction, Fraction]:
-        return self.arrow_functions[arrow_id]
+        a = self.base.arrows[arrow_id]
+        return _function(self.operators[a.dom], self.operators[a.cod], self.images[arrow_id])
+
+    @cached_property
+    def arrow_functions(self) -> Mapping[str, Mapping[Fraction, Fraction]]:
+        view = {aid: MappingProxyType(self.arrow_function(aid)) for aid in self.images}
+        return MappingProxyType(view)
 
 
-# Each question becomes an object; an n-level operator has 2^n - 2.
+# Each question becomes an object; an n-level operator has 2^n - 2. Every
+# question has spectrum _BOOL, and each constant one of its values.
 MAX_QUESTIONS = 1 << 13
+_BOOL = (Fraction(0), Fraction(1))
 
 
 def _overlaps(a_op: SpectralOperator, b_op: SpectralOperator) -> list[int]:
@@ -398,10 +416,10 @@ def _overlaps(a_op: SpectralOperator, b_op: SpectralOperator) -> list[int]:
     ]
 
 
-def _image(b_op: SpectralOperator, overlap: Sequence[int]) -> list[Fraction] | None:
-    """The values of the arrow ``A -> b_op`` given their overlap graph, if any."""
+def _image(overlap: Sequence[int]) -> tuple[int, ...] | None:
+    """Each domain level's codomain level, if the overlap graph makes an arrow."""
     if all(m and not m & (m - 1) for m in overlap):
-        return [b_op.spectrum[m.bit_length() - 1] for m in overlap]
+        return tuple(m.bit_length() - 1 for m in overlap)
     return None
 
 
@@ -451,15 +469,13 @@ def build_operator_category(
             )
 
     overlap = [[_overlaps(a_op, b_op) for b_op in seeds] for a_op in seeds]
-    # targets[k][j]: the values on object k's spectrum of the arrow k -> j.
+    # targets[k][j]: the image of the arrow k -> j, level by level.
     objects = list(seeds)
-    targets: list[dict[int, list[Fraction]]] = [
-        {t: image for t, b_op in enumerate(seeds)
-         if (image := _image(b_op, overlap[s][t])) is not None}
+    targets: list[dict[int, tuple[int, ...]]] = [
+        {t: image for t in range(len(seeds)) if (image := _image(overlap[s][t])) is not None}
         for s in range(len(seeds))
     ]
     if close_under_questions:
-        zero_f, one_f = Fraction(0), Fraction(1)
         reach = [[_reach(row) for row in rows] for rows in overlap]
 
         # (A, delta) and (B, delta') have the same projector iff delta |
@@ -487,7 +503,7 @@ def build_operator_category(
             if len(op.spectrum) == 2:
                 for i in (0, 1):
                     two_level.setdefault(first(t, 1 << i), []).append((t, i))
-        held = {first(t, 0b10) for t, op in enumerate(seeds) if op.spectrum == (zero_f, one_f)}
+        held = {first(t, 0b10) for t, op in enumerate(seeds) if op.spectrum == _BOOL}
         question: dict[tuple[int, int], int] = {}
         for s, op in enumerate(seeds):
             full = (1 << len(op.spectrum)) - 1
@@ -496,39 +512,39 @@ def build_operator_category(
                 if key not in question and key not in held:
                     delta = ",".join(str(op.spectrum[i]) for i in _bits(mask))
                     q = question[key] = adjoin(
-                        op, f"{op.name}[{delta}]", (zero_f, one_f), (full ^ mask, mask)
+                        op, f"{op.name}[{delta}]", _BOOL, (full ^ mask, mask)
                     )
                     for t, i in two_level.get(key, ()):
-                        targets[q][t] = [seeds[t].spectrum[1 - i], seeds[t].spectrum[i]]
+                        targets[q][t] = (1 - i, i)
                 if key in question:
-                    targets[s][question[key]] = [
-                        one_f if mask >> i & 1 else zero_f for i in range(len(op.spectrum))
-                    ]
+                    targets[s][question[key]] = tuple(
+                        mask >> i & 1 for i in range(len(op.spectrum))
+                    )
         for (s, mask), q in question.items():
-            targets[q][q] = [zero_f, one_f]
+            targets[q][q] = (0, 1)
             complement = question.get(first(s, mask ^ ((1 << len(seeds[s].spectrum)) - 1)))
             if complement is not None:
-                targets[q][complement] = [one_f, zero_f]
+                targets[q][complement] = (1, 0)
         # The empty and full subsets collapse to the constants, shared once.
-        for value in (zero_f, one_f):
+        for value in _BOOL:
             if all(op.spectrum != (value,) for op in seeds):
                 adjoin(seeds[0], f"const{value}", (value,), ((1 << len(seeds[0].spectrum)) - 1,))
         flat = [j for j, op in enumerate(objects) if len(op.spectrum) == 1]
         for a_op, out in zip(objects, targets):
             for j in flat:
-                out[j] = [objects[j].spectrum[0]] * len(a_op.spectrum)
+                out[j] = (0,) * len(a_op.spectrum)
 
     arrows: list[Arrow] = []
-    functions: dict[str, dict[Fraction, Fraction]] = {}
+    images: dict[str, tuple[int, ...]] = {}
     for a_op, out in zip(objects, targets):
         for j in sorted(out):
             b_op = objects[j]
             aid = f"id_{a_op.name}" if b_op is a_op else f"{a_op.name}->{b_op.name}"
             arrows.append(Arrow(aid, a_op.name, b_op.name))
-            functions[aid] = dict(zip(a_op.spectrum, out[j]))
+            images[aid] = out[j]
 
     base = thin_category([op.name for op in objects], arrows)
-    return OperatorCategory(base, {op.name: op for op in objects}, functions)
+    return OperatorCategory(base, {op.name: op for op in objects}, images)
 
 
 def dual_presheaf(ocat: OperatorCategory) -> Presheaf:
@@ -536,11 +552,7 @@ def dual_presheaf(ocat: OperatorCategory) -> Presheaf:
     their characteristic atoms (one per eigenvalue); arrows restrict, which
     on atoms is just the spectrum function."""
     sets = {name: frozenset(op.spectrum) for name, op in ocat.operators.items()}
-    maps = {}
-    for a in ocat.base.arrows.values():
-        fn = ocat.arrow_functions[a.id]
-        maps[a.id] = {val: fn[val] for val in ocat.operators[a.dom].spectrum}
-    return make_presheaf(ocat.base, sets, maps)
+    return Presheaf(ocat.base, sets, {aid: ocat.arrow_function(aid) for aid in ocat.base.arrows})
 
 
 def coarse_graining_presheaf(ocat: OperatorCategory) -> Presheaf:
@@ -550,17 +562,12 @@ def coarse_graining_presheaf(ocat: OperatorCategory) -> Presheaf:
     image; the measurability subtleties of the continuous case do not
     arise here.
     """
-    sets = {
-        name: frozenset(spectrum_subsets(op)) for name, op in ocat.operators.items()
-    }
+    subsets = {name: spectrum_subsets(op) for name, op in ocat.operators.items()}
     maps = {}
     for a in ocat.base.arrows.values():
-        fn = ocat.arrow_functions[a.id]
-        maps[a.id] = {
-            s: frozenset(fn[v] for v in s)
-            for s in spectrum_subsets(ocat.operators[a.dom])
-        }
-    return make_presheaf(ocat.base, sets, maps)
+        fn = ocat.arrow_function(a.id)
+        maps[a.id] = {s: frozenset(fn[v] for v in s) for s in subsets[a.dom]}
+    return Presheaf(ocat.base, {name: frozenset(s) for name, s in subsets.items()}, maps)
 
 
 def nu_state(
@@ -576,26 +583,20 @@ def nu_state(
     The codomain projector of ``fn(delta)`` is the sum of the context's
     projectors over ``fn^-1(fn(delta))``, and their ranges are orthogonal,
     so it fixes the state iff every other projector of the context kills
-    it (the state is orthogonal to its vectors): one kill test per
-    eigenvalue decides every arrow."""
+    it (the state is orthogonal to its vectors). One kill test per level
+    decides every arrow: the levels that do not kill the state must map
+    into the image of ``delta``."""
     name = context.name if isinstance(context, SpectralOperator) else context
     op = ocat.operator(name)
-    dset = frozenset(as_fraction(d) for d in delta)
-    extra = dset - set(op.spectrum)
-    if extra:
-        raise NotInSpectrum(f"{sorted(extra)} not in the spectrum of {name!r}")
+    levels = _levels(op, delta)
     if len(state.vector) != op.dim:
         raise DimensionMismatch("state dimension does not match the category")
     psi = int_vector(state.vector)
-    killed = {
-        a: all(orthogonal(v, psi) for v in vectors)
-        for a, vectors in zip(op.spectrum, op.vectors)
-    }
+    live = [i for i, vs in enumerate(op.vectors) if not all(orthogonal(v, psi) for v in vs)]
     members = set()
     for arrow in arrows_from(ocat.base, name):
-        fn = ocat.arrow_functions[arrow.id]
-        image = {fn[v] for v in dset}
-        if all(killed[a] for a in op.spectrum if fn[a] not in image):
+        image = ocat.images[arrow.id]
+        if {image[i] for i in live} <= {image[i] for i in levels}:
             members.add(arrow.id)
     return Sieve(name, frozenset(members))
 
@@ -639,7 +640,7 @@ def func_check(valuation: SieveValuation) -> Check:
                     f"valuation missing {name!r} at {sorted(s)}"
                 )
     for arrow in ocat.base.arrows.values():
-        fn = ocat.arrow_functions[arrow.id]
+        fn = ocat.arrow_function(arrow.id)
         for s in spectrum_subsets(ocat.operators[arrow.dom]):
             image = frozenset(fn[v] for v in s)
             lhs = valuation.values[(arrow.cod, image)]

@@ -396,9 +396,9 @@ def diagonal_operator(name, values):
 
 
 def category_shape(ocat):
-    """Object names, arrows and their spectrum functions, in build order."""
+    """Object names, arrows and their level images, in build order."""
     return (
         list(ocat.base.objects),
-        [(a.id, a.dom, a.cod, ocat.arrow_functions[a.id]) for a in ocat.base.arrows.values()],
+        [(a.id, a.dom, a.cod, ocat.images[a.id]) for a in ocat.base.arrows.values()],
         [op.spectrum for op in ocat.operators.values()],
     )

@@ -326,7 +326,7 @@ def projector_fixpoint_sieve(
     dset = frozenset(as_fraction(d) for d in delta)
     members = set()
     for arrow in arrows_from(ocat.base, context):
-        fn = ocat.arrow_functions[arrow.id]
+        fn = ocat.arrow_function(arrow.id)
         projector = spectral_projector(ocat.operators[arrow.cod], {fn[v] for v in dset})
         if mat_vec(projector, state.vector) == state.vector:
             members.add(arrow.id)
@@ -395,7 +395,8 @@ def matrix_operator_category(
     structurally equal operators are deduplicated, and the two constant
     operators are added once as shared objects. Arrows are all spectrum
     functions between objects (identities included); the underlying
-    category is thin.
+    category is thin. Each arrow is stored, as in the engine, as the
+    codomain level index of each domain level.
     """
     seeds = list(operators)
     if not seeds:
@@ -480,7 +481,7 @@ def matrix_operator_category(
             holders.setdefault(pid, []).append(k)
 
     arrows: list[Arrow] = []
-    functions: dict[str, dict[Fraction, Fraction]] = {}
+    images: dict[str, tuple[int, ...]] = {}
 
     for a_op in objects:
         hit: dict[int, int] = {}
@@ -492,20 +493,20 @@ def matrix_operator_category(
             if not all(pid in hit for pid in projector_ids[k]):
                 continue
             b_op = objects[k]
-            value = [None] * len(a_op.spectrum)
-            for b, pid in zip(b_op.spectrum, projector_ids[k]):
-                for i in range(len(value)):
+            image = [None] * len(a_op.spectrum)
+            for j, pid in enumerate(projector_ids[k]):
+                for i in range(len(image)):
                     if hit[pid] >> i & 1:
-                        value[i] = b
+                        image[i] = j
             if a_op.name == b_op.name:
                 aid = f"id_{a_op.name}"
             else:
                 aid = f"{a_op.name}->{b_op.name}"
             arrows.append(Arrow(aid, a_op.name, b_op.name))
-            functions[aid] = dict(zip(a_op.spectrum, value))
+            images[aid] = tuple(image)
 
     base = thin_category([op.name for op in objects], arrows)
-    return OperatorCategory(base, op_by_name, functions)
+    return OperatorCategory(base, op_by_name, images)
 
 
 def _first_nonzero_column(m: Matrix) -> Vector:

@@ -516,6 +516,24 @@ def test_heyting_report_reads_no_pair_view(monkeypatch, path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["category", "valuate", "ks-search", "heyting"])
+def test_reports_read_no_arrow_function_view(monkeypatch, tmp_path, command):
+    # Cabello-18 with queries, so that valuate reports sieves too.
+    path = tmp_path / "cabello18_queries.scn"
+    path.write_text(
+        Path(CABELLO).read_text()
+        + "STATE psi (1, 1, 0, 0)\nQUERY psi basis1 {1}\nQUERY psi basis1 {1,2}\n"
+    )
+
+    def refuse(ocat):
+        raise AssertionError("the arrow_functions view was built")
+
+    expected = run_cli(command, str(path))
+    monkeypatch.setattr(quantum.OperatorCategory, "arrow_functions", property(refuse))
+    assert run_cli(command, str(path)) == expected
+    assert expected[0] == 0
+
+
 # --- operators built once, projectors only where read ------------------------
 
 @pytest.mark.parametrize("command", ["validate", "category", "valuate", "ks-search", "heyting"])

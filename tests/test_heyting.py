@@ -379,6 +379,24 @@ def test_not_a_topology_stray_point():
         make_topology(["a"], [[], ["a"], ["b"]])
 
 
+@pytest.mark.parametrize("opens,witness", [
+    ([[], ["a"], ["b"], ["a", "b", "c"]], "not closed under union: ['a'] | ['b']"),
+    ([[], ["a", "b"], ["b", "c"], ["a", "b", "c"]],
+     "not closed under intersection: ['a', 'b'] & ['b', 'c']"),
+    ([["a"], ["a", "b", "c"]], "the empty set is not open"),
+])
+def test_open_set_heyting_names_the_broken_law(opens, witness):
+    # A FiniteTopology built directly is never validated; the table misses
+    # a mask and names the same witness as make_topology.
+    topology = FiniteTopology(frozenset("abc"), frozenset(map(frozenset, opens)))
+    with pytest.raises(NotATopology) as exc:
+        open_set_heyting(topology)
+    assert str(exc.value) == witness
+    with pytest.raises(NotATopology) as exc:
+        make_topology("abc", opens)
+    assert str(exc.value) == witness
+
+
 # --- the mask kernel against the per-pair reference ---------------------------
 
 # Random finite posets: up to six points, any set of pairs i < j, closed

@@ -360,7 +360,9 @@ def test_dimension_mismatch_category(sigma_z):
 
 def assert_matches_pairwise_find_arrow(ocat):
     # find_arrow and the build against the projector-matrix reference, on
-    # every ordered pair of objects.
+    # every ordered pair of objects: each stored image has one valid
+    # codomain level per domain level, identities fix every level, and the
+    # accessor and the read-only view give the reference's function.
     names = ocat.base.objects
     endpoints = {(a.dom, a.cod): a.id for a in ocat.base.arrows.values()}
     for a_name in names:
@@ -370,9 +372,21 @@ def assert_matches_pairwise_find_arrow(ocat):
             assert find_arrow(a_op, b_op) == fn
             if fn is None:
                 assert (a_name, b_name) not in endpoints
-            else:
-                aid = endpoints[(a_name, b_name)]
-                assert ocat.arrow_functions[aid] == fn
+                continue
+            aid = endpoints[(a_name, b_name)]
+            image = ocat.images[aid]
+            assert type(image) is tuple and len(image) == len(a_op.spectrum)
+            assert all(0 <= j < len(b_op.spectrum) for j in image)
+            if a_name == b_name:
+                assert image == tuple(range(len(a_op.spectrum)))
+            assert ocat.arrow_function(aid) == fn
+            assert ocat.arrow_functions[aid] == fn
+    view = ocat.arrow_functions
+    assert len(view) == len(ocat.base.arrows)
+    with pytest.raises(TypeError):
+        view["new"] = {}
+    with pytest.raises(TypeError):
+        next(iter(view.values()))[F(0)] = F(0)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +410,9 @@ def test_diagonal_category_matches_pairwise_find_arrow(n):
         targets = rng.sample(range(-5, 6), rng.randint(1, len(source.spectrum)))
         fn = {a: rng.choice(targets) for a in source.spectrum}
         ops.append(function_of(source, fn, name=f"g{k}"))
-    assert_matches_pairwise_find_arrow(build_operator_category(ops))
+    ocat = build_operator_category(ops)
+    assert "arrow_functions" not in vars(ocat)
+    assert_matches_pairwise_find_arrow(ocat)
 
 
 @pytest.mark.parametrize("close", [False, True])
