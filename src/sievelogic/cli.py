@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import SieveLogicError, SizeLimitExceeded
@@ -138,6 +139,8 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
         raise SieveLogicError("valuate needs at least one QUERY")
     ocat = build_scenario_category(scn, ops)
     states = scenario_states(scn)
+    # Each arrow's spectrum function, formatted once per report.
+    fn_of = cache(lambda aid: _format_fn(ocat.arrow_function(aid)))
     pairs: Pairs = [("command", "valuate"), ("scenario", path)]
     for i, q in enumerate(scn.queries):
         state = states[q.state]
@@ -160,8 +163,7 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
             arrow = ocat.base.arrows[aid]
             pairs.append((f"query.{i}.sieve.member.{j}.arrow", aid))
             pairs.append((f"query.{i}.sieve.member.{j}.target", arrow.cod))
-            fn = _format_fn(ocat.arrow_function(aid))
-            pairs.append((f"query.{i}.sieve.member.{j}.fn", fn))
+            pairs.append((f"query.{i}.sieve.member.{j}.fn", fn_of(aid)))
     return pairs, ()
 
 

@@ -171,6 +171,14 @@ def int_vector(v: Vector) -> IntVector:
     return tuple(int(e.re * scale) for e in v), tuple(int(e.im * scale) for e in v)
 
 
+def int_inner(u: IntVector, v: IntVector) -> tuple[int, int]:
+    """``<u, v>`` of two Gaussian-integer vectors, conjugate-linear in
+    ``u``, as (real part, imaginary part)."""
+    (a, b), (c, d) = u, v
+    return (sum(map(mul, a, c)) + sum(map(mul, b, d)),
+            sum(map(mul, a, d)) - sum(map(mul, b, c)))
+
+
 def orthogonal(u: IntVector, v: IntVector) -> bool:
     """Whether the inner product of two Gaussian-integer vectors is 0."""
     (a, b), (c, d) = u, v

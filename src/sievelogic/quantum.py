@@ -14,8 +14,12 @@ coarse-graining presheaf of spectral subsets -- plus sieve-valued
 valuations, the functional-composition check, and the state-induced
 valuation.
 
-States are stored unnormalized and probabilities are computed as Rayleigh
-quotients, which keeps all arithmetic inside the rationals.
+States are stored unnormalized. A Born probability is read off the
+eigenvector overlaps: the squared overlaps of the state with the
+pairwise-orthogonal Gaussian-integer vectors of the levels asked about,
+each over its vector's squared norm, summed and divided by the state's
+squared norm. All arithmetic stays inside the integers and rationals, and
+no projector matrix is built.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +39,7 @@ from .exact import (
     RationalLike,
     as_fraction,
     identity_matrix,
-    inner,
+    int_inner,
     int_vector,
     is_hermitian,
     is_idempotent,
@@ -42,7 +47,6 @@ from .exact import (
     is_zero_vector,
     mat_add,
     mat_mul,
-    mat_vec,
     norm_sq,
     orthogonal,
     outer_self,
@@ -101,17 +105,18 @@ class SpectralOperator:
     """A self-adjoint operator given by its exact spectral decomposition.
 
     ``vectors`` and ``projectors`` are aligned with the ascending
-    ``spectrum``. The Gaussian-integer vectors under an eigenvalue span its
-    eigenspace; projectors not given are derived when first read.
-    :func:`make_operator` guarantees exactly that the projectors are
-    Hermitian, idempotent, mutually orthogonal, and sum to the identity.
+    ``spectrum``. The Gaussian-integer vectors under an eigenvalue are
+    pairwise orthogonal and span its eigenspace; projectors not given are
+    derived when first read. :func:`make_operator` guarantees exactly that
+    the projectors are Hermitian, idempotent, mutually orthogonal, and sum
+    to the identity.
     """
 
     def __init__(self, name: str, dim: int, spectrum: Sequence[Fraction], projectors):
         self.name, self.dim, self.spectrum = name, dim, tuple(spectrum)
         self.projectors: tuple[Matrix, ...] = tuple(projectors)
         self.vectors: tuple[tuple[IntVector, ...], ...] = tuple(
-            tuple(int_vector(c) for c in zip(*p) if not is_zero_vector(c)) for p in self.projectors
+            _orthogonal_columns(p) for p in self.projectors
         )
 
     @classmethod
@@ -143,11 +148,38 @@ class SpectralOperator:
         raise NotInSpectrum(f"{val} is not an eigenvalue of {self.name!r}")
 
 
+def _orthogonal_columns(p: Matrix) -> tuple[IntVector, ...]:
+    """Pairwise-orthogonal Gaussian-integer vectors spanning the columns of
+    ``p``: fraction-free Gram-Schmidt, each residual divided by the gcd of
+    its entries and dropped when zero."""
+    basis: list[IntVector] = []
+    for column in zip(*p):
+        re, im = int_vector(column)
+        for u in basis:
+            x, y = int_inner(u, (re, im))
+            if x or y:
+                # n r - <u, r> u is orthogonal to u.
+                n = int_inner(u, u)[0]
+                re, im = (
+                    tuple(n * r - x * a + y * b for r, a, b in zip(re, *u)),
+                    tuple(n * r - x * b - y * a for r, a, b in zip(im, *u)),
+                )
+        g = gcd(*re, *im)
+        if g:
+            basis.append((tuple(r // g for r in re), tuple(r // g for r in im)))
+    return tuple(basis)
+
+
 @dataclass(frozen=True)
 class State:
     """An unnormalized, nonzero state vector."""
 
     vector: Vector
+
+    @cached_property
+    def ints(self) -> IntVector:
+        """The vector scaled onto Gaussian integers, computed once."""
+        return int_vector(self.vector)
 
 
 def make_state(entries: Iterable) -> State:
@@ -351,17 +383,25 @@ def find_arrow(
 def born_prob(
     state: State, op: SpectralOperator, delta: Iterable[RationalLike]
 ) -> Fraction:
-    """Exact Born probability that the quantity lies in ``delta``, computed
-    as a Rayleigh quotient of the unnormalized state."""
+    """Exact Born probability that the quantity lies in ``delta``.
+
+    The vectors under each level are pairwise orthogonal, so the projector
+    onto the eigenspaces in ``delta`` sends psi to the sum of its
+    components <v, psi> v / |v|^2. The probability is therefore the sum of
+    |<v, psi>|^2 / |v|^2 over those vectors, divided by |psi|^2: integer
+    inner products, and no projector matrix."""
     if len(state.vector) != op.dim:
         raise DimensionMismatch(
             f"state has length {len(state.vector)}, operator {op.name!r} "
             f"has dimension {op.dim}"
         )
-    e = spectral_projector(op, delta)
-    value = inner(state.vector, mat_vec(e, state.vector))
-    assert not value.im
-    return value.re / norm_sq(state.vector)
+    psi = state.ints
+    weight = Fraction(0)
+    for i in _levels(op, delta):
+        for v in op.vectors[i]:
+            x, y = int_inner(v, psi)
+            weight += Fraction(x * x + y * y, int_inner(v, v)[0])
+    return weight / int_inner(psi, psi)[0]
 
 
 def _function(a_op: SpectralOperator, b_op: SpectralOperator, image) -> dict[Fraction, Fraction]:
@@ -591,7 +631,7 @@ def nu_state(
     levels = _levels(op, delta)
     if len(state.vector) != op.dim:
         raise DimensionMismatch("state dimension does not match the category")
-    psi = int_vector(state.vector)
+    psi = state.ints
     live = [i for i, vs in enumerate(op.vectors) if not all(orthogonal(v, psi) for v in vs)]
     members = set()
     for arrow in arrows_from(ocat.base, name):

@@ -39,30 +39,39 @@ from sievelogic.scenario import (
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def perfbench_json(script: str):
-    """What ``script``, run inside ``perfbench/``, prints as JSON."""
+def perfbench_json(script: str, *args: str):
+    """What ``script``, run inside ``perfbench/`` with ``args``, prints as JSON."""
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         cwd=PERFBENCH, capture_output=True, text=True, check=True, timeout=120,
     )
     return json.loads(done.stdout)
 
 
-# Prints the seed, name and text of every heyting-tables input, seeds 1-3.
-_HEYTING_SCRIPT = """
-import json, workloads
+# Prints the seed, name and text of every input of one workload, seeds 1-3.
+_BENCH_INPUTS_SCRIPT = """
+import json, sys, workloads
 print(json.dumps([
     (seed, req.filename, req.text)
     for seed in (1, 2, 3)
-    for req in workloads.generate("heyting-tables", seed)
+    for req in workloads.generate(sys.argv[1], seed)
 ]))
 """
 
 
+def bench_inputs(workload: str) -> list[tuple[int, str, str]]:
+    """``(seed, filename, text)`` of every input of ``workload``, seeds 1-3."""
+    return [tuple(entry) for entry in perfbench_json(_BENCH_INPUTS_SCRIPT, workload)]
+
+
 @pytest.fixture(scope="session")
 def heyting_bench_inputs():
-    """``(seed, filename, text)`` of every heyting-tables input, seeds 1-3."""
-    return [tuple(entry) for entry in perfbench_json(_HEYTING_SCRIPT)]
+    return bench_inputs("heyting-tables")
+
+
+@pytest.fixture(scope="session")
+def valuate_bench_inputs():
+    return bench_inputs("valuate-queries")
 
 
 # --- plain categories -------------------------------------------------------

@@ -13,7 +13,8 @@ Heyting report fields are rendered, and the Heyting laws checked, through
 a table's pair-keyed views, one cell and one element lookup at a time.
 The operator category is built from projector matrices: subset sums of
 each object's projectors, interned by value, under a budget of matrix
-entries.
+entries. Born probabilities are Rayleigh quotients of the summed
+projector matrix.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from sievelogic.exact import (
     Vector,
     as_fraction,
     identity_matrix,
+    inner,
     is_zero_vector,
     mat_add,
     mat_vec,
+    norm_sq,
     zero_matrix,
 )
 from sievelogic.fincat import Arrow, Check, FinCategory, arrows_from, thin_category
@@ -331,6 +334,14 @@ def projector_fixpoint_sieve(
         if mat_vec(projector, state.vector) == state.vector:
             members.add(arrow.id)
     return frozenset(members)
+
+
+def matrix_born_prob(state: State, op: SpectralOperator, delta) -> Fraction:
+    """The Born probability of ``delta`` as the Rayleigh quotient
+    <psi, P psi> / <psi, psi>, with P the projector matrix of ``delta``."""
+    value = inner(state.vector, mat_vec(spectral_projector(op, delta), state.vector))
+    assert not value.im
+    return value.re / norm_sq(state.vector)
 
 
 # Question closure and arrow discovery both walk the 2^n spectral subsets

@@ -17,7 +17,12 @@ from sievelogic.scenario import bundled_fixture
 
 from conftest import peres_bases
 from genscen import scenario_text
-from oracles import backtrack_section_search, count_one_per_basis_colorings, dict_table_pairs
+from oracles import (
+    backtrack_section_search,
+    count_one_per_basis_colorings,
+    dict_table_pairs,
+    matrix_born_prob,
+)
 
 
 def run_cli(*argv):
@@ -49,6 +54,20 @@ SIGMA_ZX = str(bundled_fixture("sigma_zx.scn"))
 CABELLO = str(bundled_fixture("cabello18.scn"))
 SIERPINSKI = str(bundled_fixture("sierpinski.top"))
 VPOSET_TOP = str(bundled_fixture("vposet.top"))
+
+
+@pytest.fixture
+def cabello_queries(tmp_path):
+    """Cabello-18 with queries, so that valuate reports sieves and
+    probabilities strictly between 0 and 1 too."""
+    path = tmp_path / "cabello18_queries.scn"
+    path.write_text(
+        Path(CABELLO).read_text()
+        + "STATE psi (1, 1, 0, 0)\nSTATE phi (1, 2i, 3, -1+2i)\n"
+        + "QUERY psi basis1 {1}\nQUERY psi basis1 {1,2}\n"
+        + "QUERY phi basis2 {3}\nQUERY phi basis2 {1,2,4}\n"
+    )
+    return str(path)
 
 
 # --- validate ----------------------------------------------------------------
@@ -469,6 +488,29 @@ def test_reports_identical_across_hash_seeds(tmp_path, heyting_bench_inputs):
     assert outputs[2] == outputs[0]
 
 
+def test_valuate_probabilities_identical_across_hash_seeds(cabello_queries):
+    # Every printed probability is the projector-matrix Rayleigh quotient,
+    # and the reports do not depend on the hash seed.
+    paths = [SIGMA_ZX, SIGMA_Z, cabello_queries]
+    argvs = [["valuate", path, "--format", "record"] for path in paths]
+    outputs = [_reports_under_hashseed(seed, argvs) for seed in (0, 3)]
+    assert outputs[1] == outputs[0]
+    reports = outputs[0].split("exit 0\n")
+    assert len(reports) == len(paths) + 1 and reports[-1] == ""
+    checked = 0
+    for path, report in zip(paths, reports):
+        rec = record_dict(report)
+        scn = scenario.parse_scenario(Path(path).read_text())
+        ops = {op.name: op for op in scenario.scenario_operators(scn)}
+        states = scenario.scenario_states(scn)
+        assert sum(key.endswith(".probability") for key in rec) == len(scn.queries)
+        for i, q in enumerate(scn.queries):
+            prob = matrix_born_prob(states[q.state], ops[q.operator], q.delta)
+            assert rec[f"query.{i}.probability"] == scenario.format_rational(prob)
+            checked += 1
+    assert checked == 4 + 2 + 4
+
+
 # --- heyting reports against the dict-view rendering --------------------------
 
 def assert_heyting_matches_reference(monkeypatch, path):
@@ -517,20 +559,13 @@ def test_heyting_report_reads_no_pair_view(monkeypatch, path):
 
 
 @pytest.mark.parametrize("command", ["category", "valuate", "ks-search", "heyting"])
-def test_reports_read_no_arrow_function_view(monkeypatch, tmp_path, command):
-    # Cabello-18 with queries, so that valuate reports sieves too.
-    path = tmp_path / "cabello18_queries.scn"
-    path.write_text(
-        Path(CABELLO).read_text()
-        + "STATE psi (1, 1, 0, 0)\nQUERY psi basis1 {1}\nQUERY psi basis1 {1,2}\n"
-    )
-
+def test_reports_read_no_arrow_function_view(monkeypatch, cabello_queries, command):
     def refuse(ocat):
         raise AssertionError("the arrow_functions view was built")
 
-    expected = run_cli(command, str(path))
+    expected = run_cli(command, cabello_queries)
     monkeypatch.setattr(quantum.OperatorCategory, "arrow_functions", property(refuse))
-    assert run_cli(command, str(path)) == expected
+    assert run_cli(command, cabello_queries) == expected
     assert expected[0] == 0
 
 
@@ -551,14 +586,15 @@ def test_each_operator_built_once_per_report(monkeypatch, command):
     assert built == names
 
 
-@pytest.mark.parametrize("command", ["category", "ks-search", "heyting"])
-def test_reports_compute_no_projector(monkeypatch, command):
+@pytest.mark.parametrize("command", ["validate", "category", "valuate", "ks-search", "heyting"])
+def test_reports_compute_no_projector(monkeypatch, cabello_queries, command):
     def refuse(op):
         raise AssertionError(f"projectors of {op.name!r} computed")
 
+    expected = run_cli(command, cabello_queries)
     monkeypatch.setattr(quantum.SpectralOperator, "projectors", property(refuse))
-    code, _ = run_cli(command, CABELLO)
-    assert code == 0
+    assert run_cli(command, cabello_queries) == expected
+    assert expected[0] == 0
 
 
 def test_mermin_star_has_no_section(mermin_path):

@@ -59,7 +59,12 @@ from sievelogic.quantum import (
     valuation_transformation,
     verify_spectral_operator,
 )
-from sievelogic.scenario import bundled_fixture, parse_scenario, scenario_operators
+from sievelogic.scenario import (
+    bundled_fixture,
+    parse_scenario,
+    scenario_operators,
+    scenario_states,
+)
 
 from conftest import (
     OPERATOR_CATEGORY_FIXTURES,
@@ -71,7 +76,12 @@ from conftest import (
     scenario_category,
 )
 from genscen import random_orthogonal_basis
-from oracles import matrix_find_arrow, matrix_operator_category, projector_fixpoint_sieve
+from oracles import (
+    matrix_born_prob,
+    matrix_find_arrow,
+    matrix_operator_category,
+    projector_fixpoint_sieve,
+)
 
 HALF = matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
 
@@ -654,6 +664,115 @@ def test_born_sums_to_one(sigma_z, sigma_x):
 def test_born_dimension_mismatch(sigma_z):
     with pytest.raises(DimensionMismatch):
         born_prob(make_state([1, 0, 0]), sigma_z, [1])
+
+
+def test_born_checks_dimension_before_spectrum(sigma_z):
+    with pytest.raises(DimensionMismatch):
+        born_prob(make_state([1, 0, 0]), sigma_z, [7])
+    with pytest.raises(NotInSpectrum):
+        born_prob(make_state([1, 0]), sigma_z, [7])
+
+
+def test_state_integer_form_is_computed_once():
+    psi = make_state([F(1, 2), QC(F(0), F(1, 3))])
+    assert psi.ints == ((3, 0), (0, 2))
+    assert psi.ints is psi.ints
+
+
+# --- Born probabilities against the matrix oracle ----------------------------
+
+def assert_born_matches_matrix(ops, states):
+    """``born_prob`` equals the projector-matrix Rayleigh quotient on every
+    level subset of every operator, and the single levels sum to 1."""
+    for op in ops:
+        for state in states:
+            for delta in spectrum_subsets(op):
+                assert born_prob(state, op, delta) == matrix_born_prob(state, op, delta)
+            assert sum(born_prob(state, op, [a]) for a in op.spectrum) == 1
+
+
+def polarization_states(dim):
+    """e_i, e_i + e_j and e_i + i e_j: the Born probabilities of these fix
+    the whole quadratic form <psi, P psi>, hence the projector P."""
+    unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    states = [make_state(e) for e in unit]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for c in (QC(F(1), F(0)), QC(F(0), F(1))):
+                states.append(make_state([QC.of(x) + c * y for x, y in zip(unit[i], unit[j])]))
+    return states
+
+
+def test_projector_given_vectors_are_orthogonal():
+    # Both columns of P+ = 1/2 [[1, 1], [1, 1]] are (1, 1); one vector
+    # spans its range, so the state (1, 0) has probability 1/2, not 1.
+    minus = matrix([[F(1, 2), F(-1, 2)], [F(-1, 2), F(1, 2)]])
+    op = SpectralOperator("x", 2, (F(-1), F(1)), (minus, HALF))
+    assert op.vectors == ((((1, -1), (0, 0)),), (((1, 1), (0, 0)),))
+    up = make_state([1, 0])
+    assert born_prob(up, op, [1]) == F(1, 2) == matrix_born_prob(up, op, [1])
+    assert_born_matches_matrix([op], polarization_states(2))
+
+
+def test_projector_given_rank_two_dependent_columns():
+    # The plane orthogonal to (1, 1, 1): three pairwise non-orthogonal
+    # columns that sum to zero. Gram-Schmidt keeps two orthogonal vectors.
+    plane = matrix([[F(2 if i == j else -1, 3) for j in range(3)] for i in range(3)])
+    line = matrix([[F(1, 3)] * 3 for _ in range(3)])
+    op = SpectralOperator("w", 3, (F(0), F(1)), (line, plane))
+    verify_spectral_operator(op)
+    assert op.vectors == (
+        (((1, 1, 1), (0, 0, 0)),),
+        (((2, -1, -1), (0, 0, 0)), ((0, 1, -1), (0, 0, 0))),
+    )
+    assert_born_matches_matrix([op], polarization_states(3))
+
+
+@pytest.mark.parametrize("name", ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn"])
+def test_born_matches_matrix_on_fixtures(name):
+    ocat = bundled_category(name)
+    dim = next(iter(ocat.operators.values())).dim
+    scn = parse_scenario(bundled_fixture(name).read_text(), name)
+    # The scenario's states, every polarization state and one off every ray.
+    states = list(scenario_states(scn).values()) + polarization_states(dim)
+    states.append(make_state([2, QC(F(0), F(-3))] + [F(1, 2), -1][:dim - 2]))
+    assert_born_matches_matrix(ocat.operators.values(), states)
+
+
+def test_born_matches_matrix_on_generated(generated_scenarios):
+    for g in generated_scenarios:
+        assert_born_matches_matrix(g.category.operators.values(), g.states)
+
+
+def test_born_matches_matrix_on_valuate_bench_inputs(valuate_bench_inputs):
+    queries = 0
+    for seed, name, text in valuate_bench_inputs:
+        scn = parse_scenario(text, name)
+        ops = {op.name: op for op in scenario_operators(scn)}
+        states = scenario_states(scn)
+        for q in scn.queries:
+            state, op = states[q.state], ops[q.operator]
+            assert born_prob(state, op, q.delta) == matrix_born_prob(state, op, q.delta)
+            queries += 1
+    assert queries == 3 * (8 + 100 + 100 + 40)
+
+
+@st.composite
+def states_of(draw, dim):
+    """A nonzero Gaussian-rational state vector of length ``dim``."""
+    parts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    entries = draw(st.lists(st.builds(QC, parts, parts), min_size=dim, max_size=dim))
+    if all(e.is_zero() for e in entries):
+        entries[0] = QC(F(1), F(0))
+    return make_state(entries)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_born_matches_matrix_on_random_families(data):
+    ops = data.draw(operator_families())
+    states = data.draw(st.lists(states_of(ops[0].dim), min_size=1, max_size=3))
+    assert_born_matches_matrix(ops, states)
 
 
 # --- dual and coarse-graining presheaves -------------------------------------
