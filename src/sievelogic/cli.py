@@ -254,11 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("human", "record"), default="human",
             help="report format (default: human)",
         )
-        p.add_argument(
-            "--guard", type=_budget, default=DEFAULT_NODE_BUDGET,
-            help="override the search size guard (node budget: values tried, "
-                 "an integer >= 1)",
-        )
+        if name == "ks-search":
+            p.add_argument(
+                "--guard", type=_budget, default=DEFAULT_NODE_BUDGET,
+                help="override the search size guard (node budget: values tried, an integer >= 1)",
+            )
     return parser
 
 

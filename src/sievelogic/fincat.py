@@ -238,21 +238,11 @@ def build_category(
             )
         table[(f_id, g_id)] = h_id
 
-    # Identity laws force id after f = f and f after id = f; fill the table
-    # and reject any conflicting user entry.
+    # Identity laws force id after f = f and f after id = f; user entries
+    # for these pairs were checked above.
     for a in arrow_map.values():
-        for pair, forced in (
-            ((ident[a.cod], a.id), a.id),
-            ((a.id, ident[a.dom]), a.id),
-        ):
-            existing = table.get(pair)
-            if existing is None:
-                table[pair] = forced
-            elif existing != forced:
-                raise IdentityLawViolation(
-                    f"table entry {pair[0]!r} after {pair[1]!r} = {existing!r} "
-                    f"violates the identity law (expected {forced!r})"
-                )
+        table.setdefault((ident[a.cod], a.id), a.id)
+        table.setdefault((a.id, ident[a.dom]), a.id)
 
     cat = FinCategory(objs, arrow_map, ident, table)
     # Totality on composable pairs.

@@ -7,16 +7,15 @@ quantum layer. The covariant convention is used throughout: all arrow
 maps push forward.
 
 The module provides the sieve-valued subobject classifier, characteristic
-arrows and their converse, exhaustive subobject and natural-transformation
-enumeration (both guarded), and a deterministic search for global
-sections. The search is forward checking over int bitmask domains: every
-arrow map is a functional constraint, so a value chosen at one object
-fixes the value at each codomain and narrows each domain to a preimage.
+arrows and their converse, and three deterministic searches on one
+forward-checking engine over int bitmask domains: global sections, and
+the guarded enumerations of subobjects and natural transformations. Each
+compiles the arrow maps into constraints, so a value chosen for one
+variable narrows the domains of the variables it is linked to.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,7 +260,9 @@ def subobject_from_arrow(chi: NaturalTransformation) -> Subobject:
 def enumerate_subobjects(
     x: Presheaf, max_total_elements: int = DEFAULT_ENUM_LOG2
 ) -> list[Subobject]:
-    """Every family of subsets closed under the arrow maps, exactly once.
+    """Every family of subsets closed under the arrow maps, exactly once,
+    in ascending bit-mask order per object (bit ``i`` is the ``i``-th
+    element in ``element_key`` order), the first object most significant.
 
     Guarded: the product of ``2**|X(A)|`` over objects must stay at or
     below ``2**max_total_elements``.
@@ -273,25 +274,24 @@ def enumerate_subobjects(
             f"the 2^{max_total_elements} guard",
             2 ** max_total_elements,
         )
-    objs = x.cat.objects
-    per_obj: list[list[frozenset]] = []
-    for obj in objs:
-        els = sorted(x.object_sets[obj], key=element_key)
-        subsets = [
-            frozenset(e for i, e in enumerate(els) if mask >> i & 1)
-            for mask in range(1 << len(els))
-        ]
-        per_obj.append(subsets)
-    arrows = list(x.cat.arrows.values())
-    result = []
-    for combo in itertools.product(*per_obj):
-        family = dict(zip(objs, combo))
-        if all(
-            x.arrow_maps[a.id][e] in family[a.cod]
-            for a in arrows for e in family[a.dom]
-        ):
-            result.append(subobject_from_family(x, family))
-    return result
+    # One out (0) / in (1) variable per element, each object's last element
+    # first; along every arrow an element in the family forces its image in.
+    cells = [
+        (obj, e) for obj in x.cat.objects
+        for e in reversed(sorted(x.object_sets[obj], key=element_key))
+    ]
+    var = {cell: v for v, cell in enumerate(cells)}
+    initial, links = _constraints([2] * len(cells), [
+        (var[a.dom, e], var[a.cod, x.arrow_maps[a.id][e]], [0b11, 0b10])
+        for a in x.cat.arrows.values() for e in x.object_sets[a.dom]
+    ])
+    return [
+        subobject_from_family(x, {
+            obj: [e for (o, e), k in zip(cells, values) if k and o == obj]
+            for obj in x.cat.objects
+        })
+        for values in _forward_check(initial, links, math.inf)[0]
+    ]
 
 
 @dataclass(frozen=True)
@@ -347,51 +347,46 @@ def _search_order(cat: FinCategory) -> tuple[str, ...]:
     return tuple(ordered)
 
 
-def global_section_search(
-    x: Presheaf, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SectionSearchResult:
-    """Forward-checking search over objects in a fixed order.
+# links[i]: (j, row) pairs; row[k] masks the values left at variable j
+# while variable i takes its value k.
+_Links = list[list[tuple[int, list[int]]]]
 
-    Each object's elements, in ``element_key`` order, are indexed once and
-    its domain is an int bitmask over them. Every non-identity arrow is
-    compiled once into a forward table (domain index to codomain bit) and
-    a preimage table (codomain index to domain mask); an endo-arrow
-    instead filters the domain to its fixed points. Assigning a value ANDs
-    the matching row into each neighbour's domain, a neighbour narrowed to
-    one value propagates in turn, and a domain that empties cuts the branch
-    (counted in ``prunes``). Each depth tries the values left in its
-    domain, lowest first, so the sections and their order are those of
-    plain backtracking; ``nodes`` counts the values tried.
-    """
-    cat = x.cat
-    order = _search_order(cat)
-    pos = {obj: i for i, obj in enumerate(order)}
-    n = len(order)
 
-    elements = [sorted(x.object_sets[obj], key=element_key) for obj in order]
-    index = [{e: k for k, e in enumerate(els)} for els in elements]
-    initial = [(1 << len(els)) - 1 for els in elements]
-    # neighbours[i]: (j, row) pairs; row[k] masks the values left at j when
-    # object i takes its value k.
-    neighbours: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for a in cat.arrows.values():
-        if cat.is_identity(a.id):
-            continue
-        m = x.arrow_maps[a.id]
-        i, j = pos[a.dom], pos[a.cod]
-        image = [index[j].get(m[e]) for e in elements[i]]
+def _constraints(
+    widths: list[int], arcs: Iterable[tuple[int, int, list[int]]]
+) -> tuple[list[int], _Links]:
+    """The initial domains and links of ``_forward_check``: variable ``i``
+    ranges over ``widths[i]`` values, and each arc ``(i, j, forward)`` links
+    ``i`` to ``j`` by its forward row and ``j`` back to ``i`` by the preimage
+    row. An arc from a variable to itself instead keeps the values ``k``
+    that ``forward[k]`` allows: for a map, its fixed points."""
+    initial = [(1 << w) - 1 for w in widths]
+    links: _Links = [[] for _ in widths]
+    for i, j, forward in arcs:
         if i == j:
-            for k, t in enumerate(image):
-                if t != k:
-                    initial[i] &= ~(1 << k)
+            initial[i] &= sum(1 << k for k, row in enumerate(forward) if row >> k & 1)
             continue
-        forward = [0 if t is None else 1 << t for t in image]
-        preimage = [0] * len(elements[j])
-        for k, t in enumerate(image):
-            if t is not None:
-                preimage[t] |= 1 << k
-        neighbours[i].append((j, forward))
-        neighbours[j].append((i, preimage))
+        preimage = [0] * widths[j]
+        for k, row in enumerate(forward):
+            while row:
+                low = row & -row
+                preimage[low.bit_length() - 1] |= 1 << k
+                row ^= low
+        links[i].append((j, forward))
+        links[j].append((i, preimage))
+    return initial, links
+
+
+def _forward_check(
+    initial: list[int], links: _Links, node_budget: float
+) -> tuple[list[list[int]], int, int]:
+    """Forward checking over int bitmask domains: every choice of one
+    value index per variable that the links allow, in lexicographic order,
+    with the values tried (nodes) and those pruned. Assigning value ``k`` to
+    variable ``i`` ANDs ``row[k]`` into each linked domain, a domain left
+    with one value propagates in turn, and one that empties cuts the branch.
+    Trying more than ``node_budget`` values raises SizeLimitExceeded."""
+    n = len(initial)
 
     def propagate(domains: list[int], queue: list[int]) -> bool:
         """Narrow the neighbours of every one-value domain on ``queue``;
@@ -399,7 +394,7 @@ def global_section_search(
         while queue:
             i = queue.pop()
             k = domains[i].bit_length() - 1
-            for j, row in neighbours[i]:
+            for j, row in links[i]:
                 d = domains[j]
                 narrowed = d & row[k]
                 if narrowed != d:
@@ -410,18 +405,14 @@ def global_section_search(
                         queue.append(j)
         return True
 
-    labels = [(obj, pos[obj]) for obj in cat.objects]
-    sections: list[GlobalSection] = []
-    # stack[i]: the domains on reaching depth i and the values of object i
-    # still to try. An explicit stack, so depth is not bounded by Python's
-    # recursion limit.
+    solutions: list[list[int]] = []
+    # stack[i]: the domains on reaching depth i and the values of variable i
+    # still to try; explicit, so depth is not bounded by the recursion limit.
     stack: list[tuple[list[int], int]] = []
 
     def descend(domains: list[int]) -> None:
         if len(stack) == n:
-            sections.append(GlobalSection(
-                {obj: elements[p][domains[p].bit_length() - 1] for obj, p in labels}
-            ))
+            solutions.append([d.bit_length() - 1 for d in domains])
         else:
             stack.append((domains, domains[len(stack)]))
 
@@ -450,7 +441,32 @@ def global_section_search(
             descend(trial)
         else:
             prunes += 1
-    return SectionSearchResult(tuple(sections), nodes, prunes, order)
+    return solutions, nodes, prunes
+
+
+def global_section_search(
+    x: Presheaf, node_budget: int = DEFAULT_NODE_BUDGET
+) -> SectionSearchResult:
+    """``_forward_check`` with one variable per object in ``_search_order``,
+    ranging over its elements in ``element_key`` order, and a functional arc
+    per non-identity arrow: the sections and their order are those of plain
+    backtracking."""
+    cat = x.cat
+    order = _search_order(cat)
+    pos = {obj: i for i, obj in enumerate(order)}
+    elements = [sorted(x.object_sets[obj], key=element_key) for obj in order]
+    bits = [{e: 1 << k for k, e in enumerate(els)} for els in elements]
+    initial, links = _constraints([len(els) for els in elements], [
+        (pos[a.dom], pos[a.cod],
+         [bits[pos[a.cod]].get(x.arrow_maps[a.id][e], 0) for e in elements[pos[a.dom]]])
+        for a in cat.arrows.values() if not cat.is_identity(a.id)
+    ])
+    solutions, nodes, prunes = _forward_check(initial, links, node_budget)
+    sections = tuple(
+        GlobalSection({obj: elements[pos[obj]][values[pos[obj]]] for obj in cat.objects})
+        for values in solutions
+    )
+    return SectionSearchResult(sections, nodes, prunes, order)
 
 
 def global_sections(
@@ -463,13 +479,14 @@ def global_sections(
 def enumerate_natural_transformations(
     x: Presheaf, y: Presheaf, max_log2: float = DEFAULT_ENUM_LOG2
 ) -> list[NaturalTransformation]:
-    """Exhaustive enumeration of arrows ``x -> y`` with early square checks.
+    """Exhaustive enumeration of arrows ``x -> y``, lexicographic by
+    component: objects in ``cat.objects`` order, then each object's source
+    elements and target values in ``element_key`` order.
 
     Guarded by the product of ``|Y(A)| ** |X(A)|`` over objects staying at
     or below ``2**max_log2``.
     """
-    cat = x.cat
-    objs = cat.objects
+    objs = x.cat.objects
     x_els = {obj: sorted(x.object_sets[obj], key=element_key) for obj in objs}
     y_els = {obj: sorted(y.object_sets[obj], key=element_key) for obj in objs}
 
@@ -486,34 +503,22 @@ def enumerate_natural_transformations(
             f"over the 2^{max_log2} guard",
             2 ** max_log2,
         )
-
-    # For the object at position i, the arrows whose squares become fully
-    # checkable once components 0..i are all chosen.
-    pos = {obj: i for i, obj in enumerate(objs)}
-    checkable: list[list] = [[] for _ in objs]
-    for a in cat.arrows.values():
-        checkable[max(pos[a.dom], pos[a.cod])].append(a)
-
-    components: dict[str, dict] = {}
-    result: list[NaturalTransformation] = []
-
-    def extend(i: int) -> None:
-        if i == len(objs):
-            result.append(NaturalTransformation(x, y, dict(components)))
-            return
-        obj = objs[i]
-        xs = x_els[obj]
-        for choice in itertools.product(y_els[obj], repeat=len(xs)):
-            comp = dict(zip(xs, choice))
-            components[obj] = comp
-            if all(
-                y.arrow_maps[a.id][components[a.dom][e]]
-                == components[a.cod][x.arrow_maps[a.id][e]]
-                for a in checkable[i]
-                for e in x.object_sets[a.dom]
-            ):
-                extend(i + 1)
-        components.pop(obj, None)
-
-    extend(0)
-    return result
+    # One variable per source element, ranging over the target set; every
+    # arrow f (identities too) is a functional arc from (A, e) to
+    # (cod f, X(f)(e)) through Y(f).
+    cells = [(obj, e) for obj in objs for e in x_els[obj]]
+    var = {cell: v for v, cell in enumerate(cells)}
+    bits = {obj: {e: 1 << k for k, e in enumerate(els)} for obj, els in y_els.items()}
+    arcs = []
+    for a in x.cat.arrows.values():
+        xm, ym = x.arrow_maps[a.id], y.arrow_maps[a.id]
+        forward = [bits[a.cod].get(ym[v], 0) for v in y_els[a.dom]]
+        arcs.extend((var[a.dom, e], var[a.cod, xm[e]], forward) for e in x_els[a.dom])
+    initial, links = _constraints([len(y_els[obj]) for obj, _ in cells], arcs)
+    return [
+        NaturalTransformation(x, y, {
+            obj: {e: y_els[obj][k] for (o, e), k in zip(cells, values) if o == obj}
+            for obj in objs
+        })
+        for values in _forward_check(initial, links, math.inf)[0]
+    ]

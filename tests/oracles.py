@@ -2,6 +2,7 @@
 
 These deliberately avoid the code paths they verify: section search is a
 full product-space filter or plain backtracking with no propagation,
+subobjects and natural transformations are product-space filters too,
 sieve enumeration is a raw power-set filter (through the definitional
 membership test, and as a closure-mask filter over all 2^n subsets), and
 the ray colorings are plain bit twiddling, counted ray by ray or listed
@@ -20,6 +21,7 @@ projector matrix.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,12 +42,16 @@ from sievelogic.exact import (
 from sievelogic.fincat import Arrow, Check, FinCategory, arrows_from, thin_category
 from sievelogic.heyting import FiniteTopology, HeytingAlgebraTable, Sieve, is_sieve
 from sievelogic.presheaf import (
+    DEFAULT_ENUM_LOG2,
     DEFAULT_NODE_BUDGET,
     GlobalSection,
+    NaturalTransformation,
     Presheaf,
     SectionSearchResult,
+    Subobject,
     _search_order,
     element_key,
+    subobject_from_family,
 )
 from sievelogic.quantum import (
     DimensionMismatch,
@@ -140,6 +146,103 @@ def backtrack_section_search(
 
     extend(0)
     return SectionSearchResult(tuple(sections), nodes, 0, order)
+
+
+def product_subobjects(
+    x: Presheaf, max_total_elements: int = DEFAULT_ENUM_LOG2
+) -> list[Subobject]:
+    """Every family of subsets closed under the arrow maps, exactly once:
+    the full product of every object's subsets, filtered.
+
+    Guarded: the product of ``2**|X(A)|`` over objects must stay at or
+    below ``2**max_total_elements``.
+    """
+    total = sum(len(x.object_sets[obj]) for obj in x.cat.objects)
+    if total > max_total_elements:
+        raise SizeLimitExceeded(
+            f"subobject enumeration over 2^{total} families exceeds "
+            f"the 2^{max_total_elements} guard",
+            2 ** max_total_elements,
+        )
+    objs = x.cat.objects
+    per_obj: list[list[frozenset]] = []
+    for obj in objs:
+        els = sorted(x.object_sets[obj], key=element_key)
+        subsets = [
+            frozenset(e for i, e in enumerate(els) if mask >> i & 1)
+            for mask in range(1 << len(els))
+        ]
+        per_obj.append(subsets)
+    arrows = list(x.cat.arrows.values())
+    result = []
+    for combo in itertools.product(*per_obj):
+        family = dict(zip(objs, combo))
+        if all(
+            x.arrow_maps[a.id][e] in family[a.cod]
+            for a in arrows for e in family[a.dom]
+        ):
+            result.append(subobject_from_family(x, family))
+    return result
+
+
+def product_natural_transformations(
+    x: Presheaf, y: Presheaf, max_log2: float = DEFAULT_ENUM_LOG2
+) -> list[NaturalTransformation]:
+    """Exhaustive enumeration of arrows ``x -> y`` with early square checks:
+    one product of component choices per object, recursing over objects.
+
+    Guarded by the product of ``|Y(A)| ** |X(A)|`` over objects staying at
+    or below ``2**max_log2``.
+    """
+    cat = x.cat
+    objs = cat.objects
+    x_els = {obj: sorted(x.object_sets[obj], key=element_key) for obj in objs}
+    y_els = {obj: sorted(y.object_sets[obj], key=element_key) for obj in objs}
+
+    bound = 0.0
+    for obj in objs:
+        nx, ny = len(x_els[obj]), len(y_els[obj])
+        if nx and ny == 0:
+            return []
+        if nx and ny > 1:
+            bound += nx * math.log2(ny)
+    if bound > max_log2:
+        raise SizeLimitExceeded(
+            f"transformation enumeration needs 2^{bound:.1f} candidates, "
+            f"over the 2^{max_log2} guard",
+            2 ** max_log2,
+        )
+
+    # For the object at position i, the arrows whose squares become fully
+    # checkable once components 0..i are all chosen.
+    pos = {obj: i for i, obj in enumerate(objs)}
+    checkable: list[list] = [[] for _ in objs]
+    for a in cat.arrows.values():
+        checkable[max(pos[a.dom], pos[a.cod])].append(a)
+
+    components: dict[str, dict] = {}
+    result: list[NaturalTransformation] = []
+
+    def extend(i: int) -> None:
+        if i == len(objs):
+            result.append(NaturalTransformation(x, y, dict(components)))
+            return
+        obj = objs[i]
+        xs = x_els[obj]
+        for choice in itertools.product(y_els[obj], repeat=len(xs)):
+            comp = dict(zip(xs, choice))
+            components[obj] = comp
+            if all(
+                y.arrow_maps[a.id][components[a.dom][e]]
+                == components[a.cod][x.arrow_maps[a.id][e]]
+                for a in checkable[i]
+                for e in x.object_sets[a.dom]
+            ):
+                extend(i + 1)
+        components.pop(obj, None)
+
+    extend(0)
+    return result
 
 
 def power_set_sieves(cat: FinCategory, obj: str) -> set[frozenset]:

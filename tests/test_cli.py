@@ -337,6 +337,15 @@ def test_guard_below_one_rejected_at_parsing(guard, capsys):
     assert "--guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "category", "valuate", "heyting"])
+def test_guard_only_on_ks_search(command, capsys):
+    path = SIERPINSKI if command == "heyting" else SIGMA_Z
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--guard", "5", path)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --guard" in capsys.readouterr().err
+
+
 # --- heyting -----------------------------------------------------------------
 
 def test_heyting_sierpinski_flags():

@@ -33,11 +33,11 @@ def test_free_arrow_category(two_free):
 
 def test_identity_law_violation_rejected():
     arrows = [Arrow("id_A", "A", "A"), Arrow("id_B", "B", "B"), Arrow("f", "A", "B")]
-    with pytest.raises(IdentityLawViolation, match="f"):
-        build_category(
-            ["A", "B"], arrows, {"A": "id_A", "B": "id_B"},
-            {("f", "id_A"): "id_A"},
-        )
+    for pair, entry in [
+        (("f", "id_A"), "id_A"), (("id_B", "f"), "id_B"), (("id_A", "id_A"), "f"),
+    ]:
+        with pytest.raises(IdentityLawViolation, match="f"):
+            build_category(["A", "B"], arrows, {"A": "id_A", "B": "id_B"}, {pair: entry})
 
 
 def test_missing_identity():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sievelogic.errors import SizeLimitExceeded
+from sievelogic.errors import SieveLogicError, SizeLimitExceeded
 from sievelogic.fincat import (
     Check,
     UnknownArrow,
@@ -26,6 +26,7 @@ from sievelogic.heyting import (
     empty_sieve,
     excluded_middle_violations,
     is_sieve,
+    make_sieve,
     make_topology,
     open_set_heyting,
     principal_sieve,
@@ -61,6 +62,19 @@ def test_is_sieve_chain_tail(chain3):
 def test_is_sieve_closure_counterexample(chain3):
     # q->r after p->q gives p->r, which is missing.
     assert not is_sieve(chain3, "p", {"p->q"})
+
+
+def test_make_sieve(chain3):
+    assert make_sieve(chain3, "p", ["p->q", "p->r"]) == s("p", "p->q", "p->r")
+    assert make_sieve(chain3, "q", []) == empty_sieve("q")
+    # q->r after p->q gives p->r, which is missing.
+    with pytest.raises(SieveLogicError, match=r"^not a sieve on 'p': \['p->q'\]$"):
+        make_sieve(chain3, "p", {"p->q"})
+    fork = idempotent_fork()
+    assert make_sieve(fork, "A", ("e", "f")) == s("A", "e", "f")
+    # f after e is f, which is missing.
+    with pytest.raises(SieveLogicError, match=r"^not a sieve on 'A': \['e'\]$"):
+        make_sieve(fork, "A", {"e"})
 
 
 def test_empty_set_is_sieve(chain3):

@@ -28,10 +28,15 @@ from sievelogic.presheaf import (
     validate_presheaf,
     validate_subobject,
 )
-from sievelogic.quantum import dual_presheaf
+from sievelogic.quantum import coarse_graining_presheaf, dual_presheaf
 
-from conftest import ALL_CATEGORY_FIXTURES, idempotent_fork
-from oracles import backtrack_section_search, brute_force_sections
+from conftest import ALL_CATEGORY_FIXTURES, PLAIN_CATEGORY_FIXTURES, idempotent_fork
+from oracles import (
+    backtrack_section_search,
+    brute_force_sections,
+    product_natural_transformations,
+    product_subobjects,
+)
 
 
 def two_point_fiber(chain2):
@@ -502,6 +507,110 @@ def test_search_matches_backtracking_on_random_categories(presheaves):
     for x in presheaves:
         got, _ = assert_search_matches_backtracking(x)
         assert all(check_global_section(x, gs) for gs in got.sections)
+
+
+# --- enumerations against the product-filter references ----------------------
+
+def outcome(enumerate, *args):
+    """What an enumeration returns, or the message and limit of its guard."""
+    try:
+        return enumerate(*args)
+    except SizeLimitExceeded as exc:
+        return str(exc), exc.limit
+
+
+def assert_enumerations_match_references(presheaves):
+    """Subobjects of each presheaf and transformations between each ordered
+    pair equal the references list for list, in order, or trip the same
+    guard; transformations from the terminal presheaf (first) pick the
+    global sections. Returns how many enumerations ran under their guard."""
+    ran = 0
+    t = presheaves[0]
+    for x in presheaves:
+        subs = outcome(enumerate_subobjects, x)
+        assert subs == outcome(product_subobjects, x)
+        ran += isinstance(subs, list)
+        for y in presheaves:
+            nts = outcome(enumerate_natural_transformations, x, y)
+            assert nts == outcome(product_natural_transformations, x, y)
+            ran += isinstance(nts, list)
+        points = outcome(enumerate_natural_transformations, t, x)
+        if isinstance(points, list):
+            objs = x.cat.objects
+            assert {tuple(nt.components[obj]["*"] for obj in objs) for nt in points} == {
+                tuple(gs.choice[obj] for obj in objs) for gs in global_sections(x)
+            }
+    return ran
+
+
+@pytest.mark.parametrize("name", PLAIN_CATEGORY_FIXTURES + ["idempotent_fork"])
+def test_enumerations_match_references_on_plain_categories(request, name):
+    cat = idempotent_fork() if name == "idempotent_fork" else request.getfixturevalue(name)
+    assert assert_enumerations_match_references(
+        [terminal_presheaf(cat), omega_presheaf(cat)]
+    ) >= 4
+
+
+@pytest.mark.parametrize(
+    "operator_category", ["sz_unclosed", "sz_closed", "zx_unclosed", "zx_closed"],
+    indirect=True,
+)
+def test_enumerations_match_references_on_operator_presheaves(operator_category):
+    ocat = operator_category
+    assert assert_enumerations_match_references([
+        terminal_presheaf(ocat.base), dual_presheaf(ocat), coarse_graining_presheaf(ocat),
+    ]) >= 4
+
+
+def test_enumerations_trip_the_same_guards(chain3):
+    om = omega_presheaf(chain3)
+    for limit in (1, 5):
+        assert outcome(enumerate_subobjects, om, limit) == outcome(
+            product_subobjects, om, limit
+        ) == (f"subobject enumeration over 2^9 families exceeds the 2^{limit} guard",
+              2 ** limit)
+        got = outcome(enumerate_natural_transformations, om, om, limit)
+        assert got == outcome(product_natural_transformations, om, om, limit)
+        assert got[1] == 2 ** limit
+
+
+def test_enumeration_orders():
+    # Subobjects in bit-mask order per object, the first object most
+    # significant; transformations lexicographic by component.
+    cat = poset_to_category(["p", "q"], [("p", "q")])
+    x = make_presheaf(
+        cat, {"p": [0, 1], "q": [0]},
+        {"id_p": {0: 0, 1: 1}, "id_q": {0: 0}, "p->q": {0: 0, 1: 0}},
+    )
+    assert [
+        (sorted(s.sub.at("p")), sorted(s.sub.at("q"))) for s in enumerate_subobjects(x)
+    ] == [([], []), ([], [0]), ([0], [0]), ([1], [0]), ([0, 1], [0])]
+    assert [
+        (nt.components["p"][0], nt.components["p"][1], nt.components["q"][0])
+        for nt in enumerate_natural_transformations(x, x)
+    ] == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+
+
+def test_enumerations_with_an_empty_target_set(chain2):
+    x = two_point_fiber(chain2)
+    y = make_presheaf(chain2, {"p": [], "q": ["c"]}, {"id_p": {}, "id_q": {"c": "c"}, "p->q": {}})
+    # Returned before the guard is consulted.
+    assert enumerate_natural_transformations(x, y, max_log2=-1) == []
+    assert product_natural_transformations(x, y, max_log2=-1) == []
+    assert enumerate_natural_transformations(y, x) == product_natural_transformations(y, x)
+    assert len(enumerate_natural_transformations(y, x)) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(function_categories())
+def test_enumerations_match_references_on_random_categories(drawn):
+    cat, fns, sizes = drawn
+    points = make_presheaf(
+        cat,
+        {obj: range(size) for obj, size in zip(cat.objects, sizes)},
+        {aid: dict(enumerate(f[2])) for aid, f in fns.items()},
+    )
+    assert_enumerations_match_references([terminal_presheaf(cat), points])
 
 
 # --- classifier bijection (smoke; the full sweep is in the acceptance suite) --
