@@ -20,18 +20,17 @@ from functools import cache
 from pathlib import Path
 
 from .errors import SieveLogicError, SizeLimitExceeded
-from .fincat import FinCategory
+from .fincat import FinCategory, arrows_from
 from .heyting import (
     HeytingAlgebraTable,
     all_sieves,
     excluded_middle_violations,
     open_set_heyting,
-    principal_sieve,
     sieve_algebra,
 )
 from . import scenario
 from .presheaf import DEFAULT_NODE_BUDGET, global_section_search
-from .quantum import SpectralError, SpectralOperator, born_prob, dual_presheaf, nu_state
+from .quantum import SpectralError, SpectralOperator, State, born_prob, dual_presheaf, nu_state
 from .scenario import (
     ParseError,
     Scenario,
@@ -41,7 +40,6 @@ from .scenario import (
     looks_like_topology,
     parse_scenario,
     parse_topology,
-    scenario_states,
     validate_scenario,
 )
 
@@ -66,13 +64,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {reason}", 0, 0) from None
 
 
-def _load_scenario(text: str, path: str) -> tuple[Scenario, list[SpectralOperator]]:
-    """The scenario and its operators, each built once before states and
-    queries are validated."""
-    scn = parse_scenario(text, source=path)
+def _load_scenario(text: str) -> tuple[Scenario, list[SpectralOperator], dict[str, State]]:
+    """The scenario, its operators and its states, each built once; the
+    states and queries are validated against the operators."""
+    scn = parse_scenario(text)
     ops = scenario.scenario_operators(scn)
-    validate_scenario(scn, ops)
-    return scn, ops
+    return scn, ops, validate_scenario(scn, ops)
 
 
 def _format_fn(fn: dict) -> str:
@@ -86,7 +83,7 @@ def _format_member_set(members) -> str:
 
 
 def _cmd_validate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    scn, _ = _load_scenario(_read(path), path)
+    scn = _load_scenario(_read(path))[0]
     pairs: Pairs = [
         ("command", "validate"),
         ("scenario", path),
@@ -115,7 +112,7 @@ def _category_counts(base: FinCategory) -> Pairs:
 
 
 def _cmd_category(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    ocat = build_scenario_category(*_load_scenario(_read(path), path))
+    ocat = build_scenario_category(*_load_scenario(_read(path))[:2])
     base = ocat.base
     pairs: Pairs = [("command", "category"), ("scenario", path)]
     pairs.extend(_category_counts(base))
@@ -134,11 +131,10 @@ def _cmd_category(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
 
 
 def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    scn, ops = _load_scenario(_read(path), path)
+    scn, ops, states = _load_scenario(_read(path))
     if not scn.queries:
         raise SieveLogicError("valuate needs at least one QUERY")
     ocat = build_scenario_category(scn, ops)
-    states = scenario_states(scn)
     # Each arrow's spectrum function, formatted once per report.
     fn_of = cache(lambda aid: _format_fn(ocat.arrow_function(aid)))
     pairs: Pairs = [("command", "valuate"), ("scenario", path)]
@@ -147,7 +143,8 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
         op = ocat.operator(q.operator)
         sieve = nu_state(ocat, state, q.operator, q.delta)
         prob = born_prob(state, op, q.delta)
-        if sieve == principal_sieve(ocat.base, q.operator):
+        # nu_state picks from the arrows out of the context alone.
+        if len(sieve.members) == len(arrows_from(ocat.base, q.operator)):
             kind = "principal"
         elif not sieve.members:
             kind = "empty"
@@ -168,7 +165,7 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
 
 
 def _cmd_ks_search(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
-    ocat = build_scenario_category(*_load_scenario(_read(path), path))
+    ocat = build_scenario_category(*_load_scenario(_read(path))[:2])
     result = global_section_search(dual_presheaf(ocat), node_budget=args.guard)
     pairs: Pairs = [("command", "ks-search"), ("scenario", path)]
     pairs.extend(_category_counts(ocat.base))
@@ -208,11 +205,11 @@ def _cmd_heyting(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
     text = _read(path)
     pairs: Pairs = [("command", "heyting"), ("scenario", path)]
     if looks_like_topology(text):
-        table = open_set_heyting(parse_topology(text, source=path))
+        table = open_set_heyting(parse_topology(text))
         pairs.append(("kind", "topology"))
         pairs.extend(_table_pairs("topology", table, _format_member_set))
     else:
-        ocat = build_scenario_category(*_load_scenario(text, path))
+        ocat = build_scenario_category(*_load_scenario(text)[:2])
         pairs.append(("kind", "scenario"))
         pairs.extend(_category_counts(ocat.base))
         for name in ocat.base.objects:

@@ -116,10 +116,6 @@ def _dot(row: Iterable[QC], col: Iterable[QC]) -> QC:
     return acc
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(_dot(row, v) for row in m)
-
-
 def conj_transpose(m: Matrix) -> Matrix:
     return tuple(tuple(m[j][i].conj() for j in range(len(m))) for i in range(len(m[0])))
 
@@ -158,11 +154,6 @@ def is_hermitian(m: Matrix) -> bool:
 
 def is_idempotent(m: Matrix) -> bool:
     return mat_mul(m, m) == m
-
-
-def projector_leq(p: Matrix, q: Matrix) -> bool:
-    """Exact subspace containment ``ran p <= ran q`` for projectors p, q."""
-    return mat_mul(q, p) == p
 
 
 def int_vector(v: Vector) -> IntVector:

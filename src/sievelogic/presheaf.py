@@ -48,10 +48,8 @@ def element_key(x) -> tuple:
         return ("sieve", x.base, x.sorted_members())
     if isinstance(x, frozenset):
         return ("set", tuple(sorted(element_key(e) for e in x)))
-    if isinstance(x, bool):
-        return ("q", Fraction(int(x)))
     if isinstance(x, (int, Fraction)):
-        return ("q", Fraction(x))
+        return ("q", x)
     if isinstance(x, str):
         return ("s", x)
     if isinstance(x, tuple):
@@ -194,15 +192,18 @@ def validate_subobject(s: Subobject) -> Check:
     return Check(True)
 
 
-def subobject_from_family(parent: Presheaf, family: Mapping[str, Iterable]) -> Subobject:
-    """Build a Subobject from per-object subsets, restricting the maps."""
-    sets = {obj: frozenset(family.get(obj, ())) for obj in parent.cat.objects}
+def _restriction(parent: Presheaf, sets: dict[str, frozenset]) -> Subobject:
+    """The family ``sets`` with ``parent``'s maps restricted to it, unchecked."""
     maps = {
         aid: {e: m[e] for e in sets[parent.cat.arrows[aid].dom]}
         for aid, m in parent.arrow_maps.items()
     }
-    sub = Presheaf(parent.cat, sets, maps)
-    s = Subobject(sub, parent)
+    return Subobject(Presheaf(parent.cat, sets, maps), parent)
+
+
+def subobject_from_family(parent: Presheaf, family: Mapping[str, Iterable]) -> Subobject:
+    """Build a Subobject from per-object subsets, restricting the maps."""
+    s = _restriction(parent, {o: frozenset(family.get(o, ())) for o in parent.cat.objects})
     check = validate_subobject(s)
     if not check:
         raise NotASubobject(check.witness)
@@ -275,23 +276,19 @@ def enumerate_subobjects(
             2 ** max_total_elements,
         )
     # One out (0) / in (1) variable per element, each object's last element
-    # first; along every arrow an element in the family forces its image in.
-    cells = [
-        (obj, e) for obj in x.cat.objects
-        for e in reversed(sorted(x.object_sets[obj], key=element_key))
-    ]
-    var = {cell: v for v, cell in enumerate(cells)}
-    initial, links = _constraints([2] * len(cells), [
+    # first; along every arrow an element in the family forces its image in,
+    # so every solution is closed.
+    els = {obj: sorted(x.object_sets[obj], key=element_key)[::-1] for obj in x.cat.objects}
+    var = {cell: v for v, cell in enumerate((o, e) for o in els for e in els[o])}
+    initial, links = _constraints([2] * len(var), [
         (var[a.dom, e], var[a.cod, x.arrow_maps[a.id][e]], [0b11, 0b10])
         for a in x.cat.arrows.values() for e in x.object_sets[a.dom]
     ])
-    return [
-        subobject_from_family(x, {
-            obj: [e for (o, e), k in zip(cells, values) if k and o == obj]
-            for obj in x.cat.objects
-        })
-        for values in _forward_check(initial, links, math.inf)[0]
-    ]
+    results = []
+    for values in _forward_check(initial, links, math.inf)[0]:
+        k = iter(values)  # each object's cells are contiguous
+        results.append(_restriction(x, {o: frozenset(e for e in els[o] if next(k)) for o in els}))
+    return results
 
 
 @dataclass(frozen=True)
@@ -506,19 +503,18 @@ def enumerate_natural_transformations(
     # One variable per source element, ranging over the target set; every
     # arrow f (identities too) is a functional arc from (A, e) to
     # (cod f, X(f)(e)) through Y(f).
-    cells = [(obj, e) for obj in objs for e in x_els[obj]]
-    var = {cell: v for v, cell in enumerate(cells)}
+    var = {cell: v for v, cell in enumerate((obj, e) for obj in objs for e in x_els[obj])}
     bits = {obj: {e: 1 << k for k, e in enumerate(els)} for obj, els in y_els.items()}
     arcs = []
     for a in x.cat.arrows.values():
         xm, ym = x.arrow_maps[a.id], y.arrow_maps[a.id]
         forward = [bits[a.cod].get(ym[v], 0) for v in y_els[a.dom]]
         arcs.extend((var[a.dom, e], var[a.cod, xm[e]], forward) for e in x_els[a.dom])
-    initial, links = _constraints([len(y_els[obj]) for obj, _ in cells], arcs)
-    return [
-        NaturalTransformation(x, y, {
-            obj: {e: y_els[obj][k] for (o, e), k in zip(cells, values) if o == obj}
-            for obj in objs
-        })
-        for values in _forward_check(initial, links, math.inf)[0]
-    ]
+    initial, links = _constraints([len(y_els[obj]) for obj, _ in var], arcs)
+    results = []
+    for values in _forward_check(initial, links, math.inf)[0]:
+        k = iter(values)  # each object's cells are contiguous
+        results.append(NaturalTransformation(x, y, {
+            obj: {e: y_els[obj][next(k)] for e in x_els[obj]} for obj in objs
+        }))
+    return results

@@ -140,7 +140,6 @@ class Scenario:
     states: dict[str, Vector]
     close_under_questions: bool
     queries: list[Query]
-    source: str = "<string>"
 
 
 _VECTOR_GROUP_RE = re.compile(r"\([^()]*\)")
@@ -170,7 +169,7 @@ def _meaningful_lines(text: str):
         yield line_no, line
 
 
-def parse_scenario(text: str, source: str = "<string>") -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     dimension: int | None = None
     operators: list[OperatorDecl] = []
     states: dict[str, Vector] = {}
@@ -255,10 +254,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ParseError("missing DIM", 1, 1)
     if not operators:
         raise ParseError("scenario declares no operators", 1, 1)
-    return Scenario(dimension, operators, states, close, queries, source)
+    return Scenario(dimension, operators, states, close, queries)
 
 
-def parse_topology(text: str, source: str = "<string>") -> FiniteTopology:
+def parse_topology(text: str) -> FiniteTopology:
     points: list[str] | None = None
     opens: list[list[str]] = []
     for line_no, line in _meaningful_lines(text):
@@ -305,8 +304,8 @@ def scenario_states(scn: Scenario) -> dict[str, State]:
     return out
 
 
-def validate_scenario(scn: Scenario, ops: list[SpectralOperator]) -> None:
-    """Reference validation of states and queries against built operators."""
+def validate_scenario(scn: Scenario, ops: list[SpectralOperator]) -> dict[str, State]:
+    """Validate states and queries against built operators; return the states."""
     by_name = {op.name: op for op in ops}
     states = scenario_states(scn)
     for q in scn.queries:
@@ -321,6 +320,7 @@ def validate_scenario(scn: Scenario, ops: list[SpectralOperator]) -> None:
                 f"query eigenvalues {sorted(missing)} not in the spectrum "
                 f"of {q.operator!r}"
             )
+    return states
 
 
 def build_scenario_category(scn: Scenario, ops: list[SpectralOperator]) -> OperatorCategory:

@@ -195,13 +195,13 @@ OPERATOR_CATEGORY_FIXTURES = [
 ALL_CATEGORY_FIXTURES = PLAIN_CATEGORY_FIXTURES + OPERATOR_CATEGORY_FIXTURES
 
 
-def scenario_category(text: str, source: str = "<string>"):
-    scn = parse_scenario(text, source)
+def scenario_category(text: str):
+    scn = parse_scenario(text)
     return build_scenario_category(scn, scenario_operators(scn))
 
 
 def bundled_category(name: str):
-    return scenario_category(bundled_fixture(name).read_text(), name)
+    return scenario_category(bundled_fixture(name).read_text())
 
 
 @pytest.fixture(scope="session")
@@ -262,7 +262,7 @@ def peres24_path(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def peres24(peres24_path):
-    return scenario_category(peres24_path.read_text(), "peres24.scn")
+    return scenario_category(peres24_path.read_text())
 
 
 # --- Mermin's star and the Kernaghan-Peres set -------------------------------

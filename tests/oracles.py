@@ -35,7 +35,7 @@ from sievelogic.exact import (
     inner,
     is_zero_vector,
     mat_add,
-    mat_vec,
+    mat_mul,
     norm_sq,
     zero_matrix,
 )
@@ -384,6 +384,11 @@ def dense_mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((x * y for x, y in zip(row, v)), QC_ZERO) for row in m)
 
 
+def projector_leq(p: Matrix, q: Matrix) -> bool:
+    """Exact subspace containment ``ran p <= ran q`` for projectors p, q."""
+    return mat_mul(q, p) == p
+
+
 def count_one_per_basis_colorings(n_rays: int, bases: list[tuple[int, ...]]) -> int:
     """Number of 0/1 ray assignments giving each basis exactly one 1.
 
@@ -434,7 +439,7 @@ def projector_fixpoint_sieve(
     for arrow in arrows_from(ocat.base, context):
         fn = ocat.arrow_function(arrow.id)
         projector = spectral_projector(ocat.operators[arrow.cod], {fn[v] for v in dset})
-        if mat_vec(projector, state.vector) == state.vector:
+        if dense_mat_vec(projector, state.vector) == state.vector:
             members.add(arrow.id)
     return frozenset(members)
 
@@ -442,7 +447,7 @@ def projector_fixpoint_sieve(
 def matrix_born_prob(state: State, op: SpectralOperator, delta) -> Fraction:
     """The Born probability of ``delta`` as the Rayleigh quotient
     <psi, P psi> / <psi, psi>, with P the projector matrix of ``delta``."""
-    value = inner(state.vector, mat_vec(spectral_projector(op, delta), state.vector))
+    value = inner(state.vector, dense_mat_vec(spectral_projector(op, delta), state.vector))
     assert not value.im
     return value.re / norm_sq(state.vector)
 
@@ -653,7 +658,7 @@ def matrix_find_arrow(
         col = _first_nonzero_column(pa)
         target = None
         for b, pb in zip(b_op.spectrum, b_op.projectors):
-            if mat_vec(pb, col) == col:
+            if dense_mat_vec(pb, col) == col:
                 target = b
                 break
         if target is None:

@@ -70,13 +70,13 @@ def test_bench_inputs_pass_closure_guard(bench_scenarios):
 
 
 def test_heyting_inputs_pass_table_guard(heyting_bench_inputs):
-    inputs = [(name, text) for _, name, text in heyting_bench_inputs]
-    inputs += [(name, bundled_fixture(name).read_text()) for name in _FIXTURES]
-    assert len(inputs) == 12 + len(_FIXTURES)
-    for name, text in inputs:
+    texts = [text for _, _, text in heyting_bench_inputs]
+    texts += [bundled_fixture(name).read_text() for name in _FIXTURES]
+    assert len(texts) == 12 + len(_FIXTURES)
+    for text in texts:
         if looks_like_topology(text):
-            open_set_heyting(parse_topology(text, source=name))
+            open_set_heyting(parse_topology(text))
             continue
-        base = scenario_category(text, name).base
+        base = scenario_category(text).base
         for obj in base.objects:
             sieve_algebra(base, obj)

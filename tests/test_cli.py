@@ -595,6 +595,20 @@ def test_each_operator_built_once_per_report(monkeypatch, command):
     assert built == names
 
 
+def test_each_state_built_once_per_valuate_report(monkeypatch, cabello_queries):
+    built = []
+    original = scenario.make_state
+
+    def counting(vec):
+        built.append(vec)
+        return original(vec)
+
+    monkeypatch.setattr(scenario, "make_state", counting)
+    assert run_cli("valuate", cabello_queries)[0] == 0
+    states = scenario.parse_scenario(Path(cabello_queries).read_text()).states
+    assert built == list(states.values())
+
+
 @pytest.mark.parametrize("command", ["validate", "category", "valuate", "ks-search", "heyting"])
 def test_reports_compute_no_projector(monkeypatch, cabello_queries, command):
     def refuse(op):

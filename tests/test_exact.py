@@ -11,16 +11,14 @@ from sievelogic.exact import (
     is_idempotent,
     mat_add,
     mat_mul,
-    mat_vec,
     matrix,
     norm_sq,
     outer_self,
-    projector_leq,
     vector,
     zero_matrix,
 )
 
-from oracles import dense_mat_mul, dense_mat_vec
+from oracles import dense_mat_mul, projector_leq
 
 
 def test_qc_arithmetic():
@@ -70,7 +68,6 @@ def test_matrix_algebra():
     assert mat_add(m, z) == m
     assert mat_mul(m, ident) == m
     assert mat_mul(ident, m) == m
-    assert mat_vec(m, vector([1, 0])) == vector([1, 3])
 
 
 def test_conj_transpose():
@@ -98,20 +95,19 @@ _entries = st.builds(
 
 
 @st.composite
-def _square_and_vector(draw):
+def _square_pair(draw):
     n = draw(st.integers(1, 4))
     rows = st.lists(_entries, min_size=n, max_size=n).map(tuple)
     a = draw(st.lists(rows, min_size=n, max_size=n).map(tuple))
     b = draw(st.lists(rows, min_size=n, max_size=n).map(tuple))
-    return a, b, draw(rows)
+    return a, b
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_square_and_vector())
+@given(_square_pair())
 def test_products_match_dense_products(mats):
-    a, b, v = mats
+    a, b = mats
     assert mat_mul(a, b) == dense_mat_mul(a, b)
-    assert mat_vec(a, v) == dense_mat_vec(a, v)
 
 
 def test_projector_products_match_dense_products(bundled_categories):
@@ -126,5 +122,3 @@ def test_projector_products_match_dense_products(bundled_categories):
         assert mat_mul(p, p) == dense_mat_mul(p, p) == p
         if len(p) == len(q):
             assert mat_mul(p, q) == dense_mat_mul(p, q)
-            for row in q:
-                assert mat_vec(p, row) == dense_mat_vec(p, row)

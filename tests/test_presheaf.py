@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sievelogic import presheaf
 from sievelogic.errors import SizeLimitExceeded
 from sievelogic.heyting import Sieve, is_sieve, principal_sieve
 from sievelogic.fincat import Arrow, Check, build_category, poset_to_category
@@ -549,6 +550,23 @@ def test_enumerations_match_references_on_plain_categories(request, name):
     assert assert_enumerations_match_references(
         [terminal_presheaf(cat), omega_presheaf(cat)]
     ) >= 4
+
+
+@pytest.mark.parametrize("name", PLAIN_CATEGORY_FIXTURES)
+def test_subobject_enumeration_needs_no_validation(request, monkeypatch, name):
+    # The engine's "in forces in" rows make every solution closed, so the
+    # enumeration never checks a family; checking afterwards finds none open.
+    cat = request.getfixturevalue(name)
+
+    def forbidden(*args):
+        raise AssertionError("enumerate_subobjects validated a family")
+
+    monkeypatch.setattr(presheaf, "validate_subobject", forbidden)
+    monkeypatch.setattr(presheaf, "subobject_from_family", forbidden)
+    found = [enumerate_subobjects(x) for x in (terminal_presheaf(cat), omega_presheaf(cat))]
+    monkeypatch.undo()
+    assert len(found[0]) >= 2 and len(found[1]) >= 2
+    assert all(validate_subobject(s) for subs in found for s in subs)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from sievelogic.exact import (
     matrix,
     norm_sq,
     outer_self,
-    projector_leq,
     vector,
     zero_matrix,
 )
@@ -81,6 +80,7 @@ from oracles import (
     matrix_find_arrow,
     matrix_operator_category,
     projector_fixpoint_sieve,
+    projector_leq,
 )
 
 HALF = matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
@@ -158,7 +158,7 @@ def _assembled(name, dim, eigendata):
 
 def _fixture_eigendata():
     for name in ("sigma_z.scn", "sigma_zx.scn", "cabello18.scn"):
-        scn = parse_scenario(bundled_fixture(name).read_text(), name)
+        scn = parse_scenario(bundled_fixture(name).read_text())
         for decl in scn.operators:
             yield decl.name, scn.dimension, decl.eigendata
 
@@ -488,7 +488,7 @@ def assert_matches_matrix_reference(ops, close):
 @pytest.mark.parametrize("close", [False, True])
 @pytest.mark.parametrize("name", ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn"])
 def test_build_matches_matrix_reference_on_fixtures(name, close):
-    scn = parse_scenario(bundled_fixture(name).read_text(), name)
+    scn = parse_scenario(bundled_fixture(name).read_text())
     assert_matches_matrix_reference(scenario_operators(scn), close)
 
 
@@ -732,7 +732,7 @@ def test_projector_given_rank_two_dependent_columns():
 def test_born_matches_matrix_on_fixtures(name):
     ocat = bundled_category(name)
     dim = next(iter(ocat.operators.values())).dim
-    scn = parse_scenario(bundled_fixture(name).read_text(), name)
+    scn = parse_scenario(bundled_fixture(name).read_text())
     # The scenario's states, every polarization state and one off every ray.
     states = list(scenario_states(scn).values()) + polarization_states(dim)
     states.append(make_state([2, QC(F(0), F(-3))] + [F(1, 2), -1][:dim - 2]))
@@ -747,7 +747,7 @@ def test_born_matches_matrix_on_generated(generated_scenarios):
 def test_born_matches_matrix_on_valuate_bench_inputs(valuate_bench_inputs):
     queries = 0
     for seed, name, text in valuate_bench_inputs:
-        scn = parse_scenario(text, name)
+        scn = parse_scenario(text)
         ops = {op.name: op for op in scenario_operators(scn)}
         states = scenario_states(scn)
         for q in scn.queries:

@@ -229,13 +229,13 @@ def test_looks_like_topology():
 
 def test_bundled_scenarios_valid():
     for name in ("sigma_z.scn", "sigma_zx.scn", "cabello18.scn"):
-        scn = parse_scenario(bundled_fixture(name).read_text(), name)
+        scn = parse_scenario(bundled_fixture(name).read_text())
         validate_scenario(scn, scenario_operators(scn))
 
 
 def test_bundled_topologies_valid():
     for name in ("sierpinski.top", "vposet.top"):
-        parse_topology(bundled_fixture(name).read_text(), name)
+        parse_topology(bundled_fixture(name).read_text())
 
 
 def test_bundled_sigma_z_category():
