@@ -24,11 +24,10 @@ only when first read; the law check and the CLI read the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .fincat import Arrow, Check, FinCategory, NotAPoset, UnknownArrow, arrows_from
@@ -52,8 +51,7 @@ MAX_OUT_ARROWS = 20
 MAX_TABLE_CELLS = 1 << 20
 
 
-@dataclass(frozen=True, slots=True)
-class Sieve:
+class Sieve(NamedTuple):
     """A post-composition-closed set of arrow tokens out of ``base``."""
 
     base: str
@@ -227,8 +225,7 @@ def codomain_view(cat: FinCategory, s: Sieve) -> frozenset[str]:
 # Finite topologies and Heyting-algebra tables
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(NamedTuple):
     points: frozenset[str]
     opens: frozenset[frozenset[str]]
 
@@ -263,7 +260,6 @@ def make_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> Fini
     return FiniteTopology(pts, fam)
 
 
-@dataclass(frozen=True)
 class HeytingAlgebraTable:
     """A finite Heyting algebra given by total operation tables.
 
@@ -275,13 +271,46 @@ class HeytingAlgebraTable:
     ``leq``/``meet``/``join``/``implies`` mappings and the ``neg`` mapping
     are read-only views, built on first read; their values are the
     table's own element objects.
+
+    Immutable, and equal and hashed by its five fields. ``cached_property``
+    stores the views in the instance ``__dict__`` directly, which is why
+    this is a plain class and not a tuple.
     """
+
+    _fields = ("elements", "meet_rows", "join_rows", "implies_rows", "not_row")
 
     elements: tuple
     meet_rows: tuple[tuple[int, ...], ...]
     join_rows: tuple[tuple[int, ...], ...]
     implies_rows: tuple[tuple[int, ...], ...]
     not_row: tuple[int, ...]
+
+    def __init__(self, elements, meet_rows, join_rows, implies_rows, not_row):
+        self.__dict__.update(
+            elements=elements, meet_rows=meet_rows, join_rows=join_rows,
+            implies_rows=implies_rows, not_row=not_row,
+        )
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"HeytingAlgebraTable({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def zero_index(self) -> int:

@@ -17,9 +17,8 @@ variable narrows the domains of the variables it is linked to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .fincat import Check, FinCategory, arrows_from
@@ -57,8 +56,7 @@ def element_key(x) -> tuple:
     return ("r", repr(x))
 
 
-@dataclass(frozen=True)
-class Presheaf:
+class Presheaf(NamedTuple):
     """A covariant functor to finite sets: ``object_sets`` per object and a
     total ``arrow_maps`` dict per arrow token."""
 
@@ -136,8 +134,7 @@ def omega_presheaf(cat: FinCategory) -> Presheaf:
     return Presheaf(cat, {obj: frozenset(sv) for obj, sv in sets.items()}, maps)
 
 
-@dataclass(frozen=True)
-class NaturalTransformation:
+class NaturalTransformation(NamedTuple):
     source: Presheaf
     target: Presheaf
     components: dict[str, dict]
@@ -168,8 +165,7 @@ def is_natural(nt: NaturalTransformation) -> Check:
     return Check(True)
 
 
-@dataclass(frozen=True)
-class Subobject:
+class Subobject(NamedTuple):
     """A per-object subset family ``sub`` of ``parent`` closed under the maps."""
 
     sub: Presheaf
@@ -291,8 +287,7 @@ def enumerate_subobjects(
     return results
 
 
-@dataclass(frozen=True)
-class GlobalSection:
+class GlobalSection(NamedTuple):
     """A choice of one element per object satisfying the matching condition."""
 
     choice: dict[str, object]
@@ -305,8 +300,7 @@ def check_global_section(x: Presheaf, gs: GlobalSection) -> bool:
     return all(gs.choice[obj] in x.object_sets[obj] for obj in x.cat.objects)
 
 
-@dataclass(frozen=True)
-class SectionSearchResult:
+class SectionSearchResult(NamedTuple):
     """The sections found, the values tried (``nodes``), the values whose
     propagation emptied a domain (``prunes``) and the object order."""
 

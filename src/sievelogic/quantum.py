@@ -24,12 +24,11 @@ no projector matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .exact import (
@@ -170,11 +169,32 @@ def _orthogonal_columns(p: Matrix) -> tuple[IntVector, ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
 class State:
-    """An unnormalized, nonzero state vector."""
+    """An unnormalized, nonzero state vector; immutable, equal and hashed
+    by its vector. A plain class so that ``ints`` can cache in the
+    instance ``__dict__``."""
 
     vector: Vector
+
+    def __init__(self, vector: Vector):
+        self.__dict__["vector"] = vector
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vector == other.vector
+
+    def __hash__(self):
+        return hash((self.vector,))
+
+    def __repr__(self) -> str:
+        return f"State(vector={self.vector!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def ints(self) -> IntVector:
@@ -340,8 +360,7 @@ def spectrum_subsets(op: SpectralOperator) -> tuple[frozenset[Fraction], ...]:
     )
 
 
-@dataclass(frozen=True)
-class SpectralAlgebra:
+class SpectralAlgebra(NamedTuple):
     """The Boolean algebra of spectral projectors of one operator, with the
     Boolean operations acting on spectrum subsets."""
 
@@ -409,17 +428,42 @@ def _function(a_op: SpectralOperator, b_op: SpectralOperator, image) -> dict[Fra
     return {a: b_op.spectrum[j] for a, j in zip(a_op.spectrum, image)}
 
 
-@dataclass(frozen=True)
 class OperatorCategory:
     """A thin category of spectral operators: objects tagged by name, each
     arrow stored once as its spectrum function on levels: ``images[aid][i]``
     is the codomain level of domain level ``i``. ``arrow_function`` and the
     read-only ``arrow_functions`` view (built on first read) give eigenvalue
-    dicts."""
+    dicts.
+
+    Immutable and equal by its three fields; unhashable, since two of them
+    are dicts. A plain class so that ``arrow_functions`` can cache in the
+    instance ``__dict__``.
+    """
 
     base: FinCategory
     operators: dict[str, SpectralOperator]
     images: dict[str, tuple[int, ...]]
+
+    def __init__(self, base, operators, images):
+        self.__dict__.update(base=base, operators=operators, images=images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.operators, self.images)
+                == (other.base, other.operators, other.images))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"OperatorCategory(base={self.base!r}, operators={self.operators!r}, "
+                f"images={self.images!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def operator(self, name: str) -> SpectralOperator:
         try:
@@ -641,8 +685,7 @@ def nu_state(
     return Sieve(name, frozenset(members))
 
 
-@dataclass(frozen=True)
-class SieveValuation:
+class SieveValuation(NamedTuple):
     """A sieve per (context, spectral subset) pair."""
 
     category: OperatorCategory

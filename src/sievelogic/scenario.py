@@ -17,9 +17,9 @@ files use POINTS and OPEN lines instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import SieveLogicError
 from .exact import QC, Vector, vector
@@ -120,21 +120,18 @@ def format_delta(delta) -> str:
     return "{" + ",".join(format_rational(v) for v in sorted(delta)) + "}"
 
 
-@dataclass
-class OperatorDecl:
+class OperatorDecl(NamedTuple):
     name: str
-    eigendata: list[tuple[Fraction, list[Vector]]] = field(default_factory=list)
+    eigendata: list[tuple[Fraction, list[Vector]]]
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     state: str
     operator: str
     delta: tuple[Fraction, ...]
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     dimension: int
     operators: list[OperatorDecl]
     states: dict[str, Vector]
@@ -197,7 +194,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError("OPERATOR needs a single name", line_no, 10)
             if any(op.name == rest for op in operators):
                 raise ParseError(f"duplicate operator name {rest!r}", line_no, 10)
-            current = OperatorDecl(rest)
+            current = OperatorDecl(rest, [])
             operators.append(current)
         elif keyword == "EIGENVALUE":
             if current is None:

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -54,6 +54,8 @@ SIGMA_ZX = str(bundled_fixture("sigma_zx.scn"))
 CABELLO = str(bundled_fixture("cabello18.scn"))
 SIERPINSKI = str(bundled_fixture("sierpinski.top"))
 VPOSET_TOP = str(bundled_fixture("vposet.top"))
+# The directory that holds the package, for subprocesses.
+SRC = str(Path(sievelogic.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -454,9 +456,8 @@ for argv in json.loads(sys.argv[1]):
 
 
 def _reports_under_hashseed(seed: int, argvs: list[list[str]]) -> str:
-    src = str(Path(sievelogic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _HASHSEED_SCRIPT, json.dumps(argvs)],
         env=env, capture_output=True, check=True,
@@ -626,3 +627,63 @@ def test_mermin_star_has_no_section(mermin_path):
     rec = record_dict(out)
     assert (rec["objects"], rec["arrows"], rec["sections"]) == ("1257", "6289", "0")
     assert rec["certificate"] == "KS-obstruction"
+
+
+# --- process start-up and exit ------------------------------------------------
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # Every report is one process, and importing dataclasses (which pulls
+    # in inspect, ast, dis and tokenize) would cost each one about 17 ms.
+    # -S keeps site's own imports out of sys.modules.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, sievelogic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+@pytest.fixture
+def exit_path_inputs(tmp_path, heyting_bench_inputs):
+    """Inputs for one report of each exit path; two contexts make a heyting
+    report of about 0.4 MB, far beyond any stream buffer."""
+    contexts2 = tmp_path / "contexts2_2.scn"
+    contexts2.write_text(next(
+        text for seed, name, text in heyting_bench_inputs
+        if (seed, name) == (1, "contexts2_2.scn")
+    ))
+    no_query = tmp_path / "noq.scn"
+    no_query.write_text("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE -1 : (0,1)\n")
+    return {"contexts2": str(contexts2), "no_query": str(no_query),
+            "missing": str(tmp_path / "missing.scn")}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", SIGMA_Z], 0),
+    (["heyting", "contexts2"], 0),
+    (["valuate", "no_query"], 1),
+    (["validate", "missing"], 2),
+    (["ks-search", SIGMA_ZX, "--guard", "1"], 3),
+    (["validate", SIGMA_Z, "--no-such-flag"], 2),
+], ids=["small", "large", "invalid", "missing", "guard", "bad-flag"])
+def test_process_exit_matches_main(exit_path_inputs, argv, code):
+    # The process ends with os._exit once the report is flushed; with
+    # PYTHONUNBUFFERED unset, stdout is block-buffered into the pipe, so a
+    # lost flush would show here as a missing or truncated report.
+    argv = [exit_path_inputs.get(arg, arg) for arg in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sievelogic.cli", *argv], env=env, capture_output=True,
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            expected = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            expected = exc.code
+    assert (done.returncode, expected) == (code, code)
+    assert done.stdout == out.getvalue().encode("utf-8")
+    assert done.stderr == err.getvalue().encode("utf-8")
+    if argv[0] == "heyting":
+        assert len(done.stdout) > 400_000
