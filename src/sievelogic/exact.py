@@ -13,6 +13,8 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Union
 
+from .errors import Frozen
+
 RationalLike = Union[int, Fraction]
 
 
@@ -24,35 +26,18 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class QC:
+class QC(Frozen):
     """A Gaussian rational ``re + im*i``; immutable.
 
     A plain class, not a tuple: a tuple's ``__rmul__`` would make ``2 * z``
     repeat the tuple instead of scaling ``z``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = _fields = ("re", "im")
 
     def __init__(self, re: Fraction, im: Fraction):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"QC(re={self.re!r}, im={self.im!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def of(value: "QC | RationalLike") -> "QC":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import SieveLogicError
+from .errors import Frozen, SieveLogicError
 
 
 class CategoryError(SieveLogicError):
@@ -63,7 +63,7 @@ class NotComposable(CategoryError):
 ObjectId = str
 
 
-class Arrow:
+class Arrow(Frozen):
     """An arrow ``id: dom -> cod``, identified by its token; immutable.
 
     A plain class, not a tuple: reports read arrow fields tens of
@@ -71,29 +71,12 @@ class Arrow:
     a named-tuple field.
     """
 
-    __slots__ = ("id", "dom", "cod")
+    __slots__ = _fields = ("id", "dom", "cod")
 
     def __init__(self, id: str, dom: ObjectId, cod: ObjectId):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.dom, self.cod) == (other.id, other.dom, other.cod)
-
-    def __hash__(self):
-        return hash((self.id, self.dom, self.cod))
-
-    def __repr__(self) -> str:
-        return f"Arrow(id={self.id!r}, dom={self.dom!r}, cod={self.cod!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Check(NamedTuple):
@@ -137,9 +120,6 @@ class FinCategory:
 
     def __repr__(self) -> str:
         return f"FinCategory({len(self.objects)} objects, {len(self.arrows)} arrows)"
-
-    def has_object(self, obj: str) -> bool:
-        return obj in self.identities
 
     def arrow(self, arrow_id: str) -> Arrow:
         try:

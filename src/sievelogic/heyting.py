@@ -29,7 +29,7 @@ from operator import and_, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import SieveLogicError, SizeLimitExceeded
+from .errors import Frozen, SieveLogicError, SizeLimitExceeded
 from .fincat import Arrow, Check, FinCategory, NotAPoset, UnknownArrow, arrows_from
 
 
@@ -260,7 +260,7 @@ def make_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> Fini
     return FiniteTopology(pts, fam)
 
 
-class HeytingAlgebraTable:
+class HeytingAlgebraTable(Frozen):
     """A finite Heyting algebra given by total operation tables.
 
     The tables are stored as rows of element indices: ``meet_rows[i][j]``
@@ -290,27 +290,6 @@ class HeytingAlgebraTable:
             elements=elements, meet_rows=meet_rows, join_rows=join_rows,
             implies_rows=implies_rows, not_row=not_row,
         )
-
-    def _values(self) -> tuple:
-        return tuple(self.__dict__[f] for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
-        return f"HeytingAlgebraTable({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def zero_index(self) -> int:

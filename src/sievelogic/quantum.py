@@ -27,10 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import SieveLogicError, SizeLimitExceeded
+from .errors import Frozen, SieveLogicError, SizeLimitExceeded
 from .exact import (
     IntVector,
     Matrix,
@@ -139,13 +138,6 @@ class SpectralOperator:
     def __hash__(self):
         return hash((self.name, self.dim, self.spectrum))
 
-    def projector_of(self, eigenvalue: RationalLike) -> Matrix:
-        val = as_fraction(eigenvalue)
-        for a, p in zip(self.spectrum, self.projectors):
-            if a == val:
-                return p
-        raise NotInSpectrum(f"{val} is not an eigenvalue of {self.name!r}")
-
 
 def _orthogonal_columns(p: Matrix) -> tuple[IntVector, ...]:
     """Pairwise-orthogonal Gaussian-integer vectors spanning the columns of
@@ -169,32 +161,16 @@ def _orthogonal_columns(p: Matrix) -> tuple[IntVector, ...]:
     return tuple(basis)
 
 
-class State:
+class State(Frozen):
     """An unnormalized, nonzero state vector; immutable, equal and hashed
-    by its vector. A plain class so that ``ints`` can cache in the
-    instance ``__dict__``."""
+    by its one field ``vector``. A plain class, not a tuple, so that
+    ``ints`` can cache in the instance ``__dict__``."""
 
+    _fields = ("vector",)
     vector: Vector
 
     def __init__(self, vector: Vector):
         self.__dict__["vector"] = vector
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vector == other.vector
-
-    def __hash__(self):
-        return hash((self.vector,))
-
-    def __repr__(self) -> str:
-        return f"State(vector={self.vector!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def ints(self) -> IntVector:
@@ -428,42 +404,17 @@ def _function(a_op: SpectralOperator, b_op: SpectralOperator, image) -> dict[Fra
     return {a: b_op.spectrum[j] for a, j in zip(a_op.spectrum, image)}
 
 
-class OperatorCategory:
+class OperatorCategory(NamedTuple):
     """A thin category of spectral operators: objects tagged by name, each
     arrow stored once as its spectrum function on levels: ``images[aid][i]``
-    is the codomain level of domain level ``i``. ``arrow_function`` and the
-    read-only ``arrow_functions`` view (built on first read) give eigenvalue
+    is the codomain level of domain level ``i``. ``arrow_function`` gives
+    one arrow's eigenvalue dict. Unhashable, since two of its fields are
     dicts.
-
-    Immutable and equal by its three fields; unhashable, since two of them
-    are dicts. A plain class so that ``arrow_functions`` can cache in the
-    instance ``__dict__``.
     """
 
     base: FinCategory
     operators: dict[str, SpectralOperator]
     images: dict[str, tuple[int, ...]]
-
-    def __init__(self, base, operators, images):
-        self.__dict__.update(base=base, operators=operators, images=images)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.operators, self.images)
-                == (other.base, other.operators, other.images))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"OperatorCategory(base={self.base!r}, operators={self.operators!r}, "
-                f"images={self.images!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def operator(self, name: str) -> SpectralOperator:
         try:
@@ -474,11 +425,6 @@ class OperatorCategory:
     def arrow_function(self, arrow_id: str) -> dict[Fraction, Fraction]:
         a = self.base.arrows[arrow_id]
         return _function(self.operators[a.dom], self.operators[a.cod], self.images[arrow_id])
-
-    @cached_property
-    def arrow_functions(self) -> Mapping[str, Mapping[Fraction, Fraction]]:
-        view = {aid: MappingProxyType(self.arrow_function(aid)) for aid in self.images}
-        return MappingProxyType(view)
 
 
 # Each question becomes an object; an n-level operator has 2^n - 2. Every

@@ -218,8 +218,12 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError("STATE needs a name and a vector", line_no, 7)
             if name in states:
                 raise ParseError(f"duplicate state name {name!r}", line_no, 7)
-            (vec,) = _split_vectors(vec_text, line_no, line)
-            states[name] = vec
+            vecs = _split_vectors(vec_text, line_no, line)
+            if len(vecs) != 1:
+                raise ParseError(
+                    "STATE needs exactly one vector", line_no, _column(line, vec_text)
+                )
+            states[name] = vecs[0]
         elif keyword == "CLOSE":
             if close_seen:
                 raise ParseError("duplicate CLOSE", line_no, 1)

@@ -232,7 +232,7 @@ def test_criterion_6_monotonicity_and_born_exactness(
         categories.extend(g.category for g in generated_scenarios[:10])
         for ocat in categories:
             for arrow in ocat.base.arrows.values():
-                fn = ocat.arrow_functions[arrow.id]
+                fn = ocat.arrow_function(arrow.id)
                 dom_op = ocat.operators[arrow.dom]
                 cod_op = ocat.operators[arrow.cod]
                 for delta in spectrum_subsets(dom_op):
@@ -257,7 +257,7 @@ def test_criterion_6_monotonicity_and_born_exactness(
                     for delta in spectrum_subsets(op):
                         sieve = nu_state(ocat, state, name, delta)
                         for arrow in arrows_from(ocat.base, name):
-                            fn = ocat.arrow_functions[arrow.id]
+                            fn = ocat.arrow_function(arrow.id)
                             image = frozenset(fn[v] for v in delta)
                             cod_op = ocat.operators[arrow.cod]
                             fixpoint = (

@@ -142,6 +142,8 @@ def test_degenerate_eigenvalue_vectors():
     ("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nQUERY a z 1\n", "QUERY"),
     ("DIM 2\n", "no operators"),
     ("DIM 2\nOPERATOR z\nSTATE s (1,0)\nSTATE s (0,1)\n", "duplicate state"),
+    ("DIM 2\nOPERATOR z\nSTATE s (1,0) (0,1)\n", "exactly one vector"),
+    ("DIM 2\nOPERATOR z\nSTATE s (1,0), (0,1), (1,1)\n", "exactly one vector"),
 ])
 def test_parse_scenario_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
