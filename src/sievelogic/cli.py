@@ -31,7 +31,9 @@ from .heyting import (
 )
 from . import scenario
 from .presheaf import DEFAULT_NODE_BUDGET, global_section_search
-from .quantum import SpectralError, SpectralOperator, State, born_prob, dual_presheaf, nu_state
+from .quantum import (
+    OperatorCategory, SpectralError, SpectralOperator, State, born_prob, dual_presheaf, nu_state,
+)
 from .scenario import (
     ParseError,
     Scenario,
@@ -73,9 +75,14 @@ def _load_scenario(text: str) -> tuple[Scenario, list[SpectralOperator], dict[st
     return scn, ops, validate_scenario(scn, ops)
 
 
-def _format_fn(fn: dict) -> str:
+def _format_fn(ocat: OperatorCategory, aid: str) -> str:
+    """An arrow's spectrum function as ``a:b`` pairs, read off its level map;
+    every spectrum built here is ascending, so the pairs are too."""
+    a = ocat.base.arrows[aid]
+    cod = ocat.operators[a.cod].spectrum
     return ",".join(
-        f"{format_rational(a)}:{format_rational(b)}" for a, b in sorted(fn.items())
+        f"{format_rational(x)}:{format_rational(cod[j])}"
+        for x, j in zip(ocat.operators[a.dom].spectrum, ocat.images[aid])
     )
 
 
@@ -127,7 +134,7 @@ def _cmd_category(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
         pairs.append((f"arrow.{i}.id", aid))
         pairs.append((f"arrow.{i}.dom", a.dom))
         pairs.append((f"arrow.{i}.cod", a.cod))
-        pairs.append((f"arrow.{i}.fn", _format_fn(ocat.arrow_function(aid))))
+        pairs.append((f"arrow.{i}.fn", _format_fn(ocat, aid)))
     return pairs, ()
 
 
@@ -137,7 +144,7 @@ def _cmd_valuate(path: str, args) -> tuple[Pairs, tuple[str, ...]]:
         raise SieveLogicError("valuate needs at least one QUERY")
     ocat = build_scenario_category(scn, ops)
     # Each arrow's spectrum function, formatted once per report.
-    fn_of = cache(lambda aid: _format_fn(ocat.arrow_function(aid)))
+    fn_of = cache(lambda aid: _format_fn(ocat, aid))
     pairs: Pairs = [("command", "valuate"), ("scenario", path)]
     for i, q in enumerate(scn.queries):
         state = states[q.state]

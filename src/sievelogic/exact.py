@@ -89,10 +89,6 @@ def vector(entries: Iterable[QC | RationalLike]) -> Vector:
     return tuple(QC.of(e) for e in entries)
 
 
-def matrix(rows: Iterable[Iterable[QC | RationalLike]]) -> Matrix:
-    return tuple(tuple(QC.of(e) for e in row) for row in rows)
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(
         tuple(QC_ONE if i == j else QC_ZERO for j in range(n)) for i in range(n)
@@ -125,26 +121,6 @@ def _dot(row: Iterable[QC], col: Iterable[QC]) -> QC:
 
 def conj_transpose(m: Matrix) -> Matrix:
     return tuple(tuple(m[j][i].conj() for j in range(len(m))) for i in range(len(m[0])))
-
-
-def outer_self(v: Vector) -> Matrix:
-    """The rank-one matrix ``v v†`` (unnormalized)."""
-    return tuple(tuple(vi * vj.conj() for vj in v) for vi in v)
-
-
-def inner(u: Vector, v: Vector) -> QC:
-    """Physics-convention inner product, conjugate-linear in the first slot."""
-    acc = QC_ZERO
-    for x, y in zip(u, v):
-        acc = acc + x.conj() * y
-    return acc
-
-
-def norm_sq(v: Vector) -> Fraction:
-    value = inner(v, v)
-    # <v, v> is real by construction; the imaginary part cancels exactly.
-    assert not value.im
-    return value.re
 
 
 def is_zero_vector(v: Vector) -> bool:

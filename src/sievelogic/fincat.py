@@ -5,10 +5,11 @@ composition table, checked when it is built, so every other module can
 trust any :class:`FinCategory` it is handed. :func:`build_category`
 validates a user-supplied table: identity arrows, domain/codomain
 bookkeeping, the identity laws, and associativity over every composable
-triple. :func:`thin_category` builds posets and the operator preorder,
-one arrow per related pair: the endpoints fix every composite, so thin
-categories are associative by construction and only reflexivity,
-thinness and transitivity are checked.
+triple. :func:`thin_category` builds posets and the operator preorder
+from their related pairs, one arrow per pair, named ``id_p`` or
+``p->q``: the endpoints fix every composite, so thin categories are
+associative by construction and only distinct tokens, reflexivity and
+transitivity are checked.
 
 Composition order: for ``g: C -> B`` and ``f: B -> A`` the composite is
 ``compose(cat, f, g) = f after g : C -> A``. All modules use this order.
@@ -270,24 +271,20 @@ def build_category(
     return cat
 
 
-def thin_category(objects: Iterable[str], arrows: Iterable[Arrow]) -> FinCategory:
-    """The thin category with one arrow per related pair of objects.
+def thin_category(
+    objects: Iterable[str], related: Iterable[tuple[str, str]]
+) -> FinCategory:
+    """The thin category with one arrow per related pair ``(dom, cod)``,
+    identities ``(p, p)`` included, named ``id_p`` or ``p->q``; the arrows
+    keep the order of ``related``.
 
-    ``arrows`` holds exactly one arrow per related pair ``(dom, cod)``,
-    identities ``(p, p)`` included. The composite of ``f: p -> q`` and
-    ``g: q -> r`` is the arrow ``p -> r``, read off the endpoints over the
-    composable pairs only. Raises MissingIdentity unless the relation is
-    reflexive, and CategoryError if it is not thin or not transitive.
+    The composite of ``f: p -> q`` and ``g: q -> r`` is the arrow
+    ``p -> r``, read off the endpoints over the composable pairs only.
+    Raises MissingIdentity unless the relation is reflexive, and
+    CategoryError if two arrows share a token or it is not transitive.
     """
-    objs, arrow_map = _tokens(objects, arrows)
-    between: dict[tuple[str, str], str] = {}
-    for a in arrow_map.values():
-        other = between.setdefault((a.dom, a.cod), a.id)
-        if other != a.id:
-            raise CategoryError(
-                f"not thin: {other!r} and {a.id!r} both go {a.dom!r} -> {a.cod!r}"
-            )
-
+    between = {(p, q): f"id_{p}" if p == q else f"{p}->{q}" for p, q in related}
+    objs, arrow_map = _tokens(objects, (Arrow(a, p, q) for (p, q), a in between.items()))
     identities: dict[str, str] = {}
     for obj in objs:
         if (obj, obj) not in between:
@@ -327,9 +324,7 @@ def poset_to_category(
         if p != q and (q, p) in rel:
             raise NotAPoset(f"antisymmetry fails: {p!r} <= {q!r} and {q!r} <= {p!r}")
 
-    arrows = [Arrow(f"id_{p}", p, p) for p in elems]
-    arrows += [Arrow(f"{p}->{q}", p, q) for p, q in sorted(rel)]
     try:
-        return thin_category(elems, arrows)
+        return thin_category(elems, [(p, p) for p in elems] + sorted(rel))
     except CategoryError as exc:
         raise NotAPoset(str(exc)) from None

@@ -117,14 +117,18 @@ def _closure_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[
     return outs, ext
 
 
-def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
-    """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens.
+def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Sieve, ...], list[int], list[int]]:
+    """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens,
+    with its bit mask over ``arrows_from(obj)`` and the closure masks of
+    ``_closure_masks``.
 
     Branches on the lowest undecided arrow: taking it in takes in its
     post-composites, leaving it out leaves out every arrow that has it as a
     post-composite. Neither choice can contradict an earlier one, since
     post-composites of post-composites are post-composites, so every leaf
-    is a distinct sieve and the walk costs O(sieves * arrows).
+    is a distinct sieve and the walk costs O(sieves * arrows). The arrows
+    are sorted by token, so ordering masks by their bits orders the sieves
+    by their tokens.
     """
     outs, ext = _closure_masks(cat, obj)
     n = len(outs)
@@ -142,12 +146,16 @@ def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
         stack.append((taken, left | below[i]))
         stack.append((taken | ext[i], left))
 
-    sieves = [
-        Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1))
-        for s in found
-    ]
-    sieves.sort(key=lambda sv: sv.sorted_members())
-    return tuple(sieves)
+    found.sort(key=lambda s: [i for i in range(n) if s >> i & 1])
+    sieves = tuple(
+        Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1)) for s in found
+    )
+    return sieves, found, ext
+
+
+def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
+    """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens."""
+    return _sieve_masks(cat, obj)[0]
 
 
 def _same_base(s1: Sieve, s2: Sieve) -> str:
@@ -410,11 +418,8 @@ def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
     ``&`` and ``|``, and ``s1 => s2`` keeps the arrows none of whose
     post-composites lie in ``s1`` but not ``s2``.
     """
-    sieves = all_sieves(cat, obj)
+    sieves, masks, ext = _sieve_masks(cat, obj)
     _check_table_size(f"object {obj!r}", len(sieves))
-    outs, ext = _closure_masks(cat, obj)
-    index = {a.id: i for i, a in enumerate(outs)}
-    masks = [sum(1 << index[m] for m in sv.members) for sv in sieves]
     return _mask_table(sieves, masks, ext)
 
 

@@ -25,12 +25,13 @@ no projector matrix is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Frozen, SieveLogicError, SizeLimitExceeded
 from .exact import (
+    QC,
     IntVector,
     Matrix,
     Vector,
@@ -45,13 +46,11 @@ from .exact import (
     is_zero_vector,
     mat_add,
     mat_mul,
-    norm_sq,
     orthogonal,
-    outer_self,
     vector,
     zero_matrix,
 )
-from .fincat import Arrow, Check, FinCategory, UnknownObject, arrows_from, thin_category
+from .fincat import Check, FinCategory, UnknownObject, arrows_from, thin_category
 from .heyting import Sieve, push_sieve
 from .presheaf import (
     GlobalSection,
@@ -105,9 +104,9 @@ class SpectralOperator:
     ``vectors`` and ``projectors`` are aligned with the ascending
     ``spectrum``. The Gaussian-integer vectors under an eigenvalue are
     pairwise orthogonal and span its eigenspace; projectors not given are
-    derived when first read. :func:`make_operator` guarantees exactly that
-    the projectors are Hermitian, idempotent, mutually orthogonal, and sum
-    to the identity.
+    derived from them when first read. :func:`make_operator` guarantees
+    exactly that the projectors are Hermitian, idempotent, mutually
+    orthogonal, and sum to the identity.
     """
 
     def __init__(self, name: str, dim: int, spectrum: Sequence[Fraction], projectors):
@@ -118,16 +117,17 @@ class SpectralOperator:
         )
 
     @classmethod
-    def _spanned(cls, name, dim, spectrum, vectors, derive) -> "SpectralOperator":
-        """Spanned by ``vectors``; ``derive()`` computes the projectors."""
+    def _spanned(cls, name, dim, spectrum, vectors) -> "SpectralOperator":
+        """Spanned by ``vectors``; the projectors are derived from them."""
         op = cls.__new__(cls)
-        op.name, op.dim, op.spectrum = name, dim, tuple(spectrum)
-        op.vectors, op._derive = vectors, derive
+        op.name, op.dim, op.spectrum, op.vectors = name, dim, tuple(spectrum), vectors
         return op
 
     @cached_property
     def projectors(self) -> tuple[Matrix, ...]:
-        return self._derive()
+        """Each level's sum of v v-dagger / |v|^2 over its vectors, which
+        are pairwise orthogonal: the projector onto their span."""
+        return tuple(map(_projector, self.vectors))
 
     def __eq__(self, other):
         return isinstance(other, SpectralOperator) and (
@@ -137,6 +137,23 @@ class SpectralOperator:
 
     def __hash__(self):
         return hash((self.name, self.dim, self.spectrum))
+
+
+def _projector(vectors: Sequence[IntVector]) -> Matrix:
+    """The sum of v v-dagger / |v|^2 over pairwise-orthogonal Gaussian-integer
+    vectors, over their common denominator, one exact entry at a time."""
+    norms = [int_inner(v, v)[0] for v in vectors]
+    d = lcm(*norms)
+    terms = [(re, im, d // n) for (re, im), n in zip(vectors, norms)]
+    axis = range(len(terms[0][0]))
+    return tuple(
+        tuple(
+            QC(Fraction(sum(k * (a[i] * a[j] + b[i] * b[j]) for a, b, k in terms), d),
+               Fraction(sum(k * (b[i] * a[j] - a[i] * b[j]) for a, b, k in terms), d))
+            for j in axis
+        )
+        for i in axis
+    )
 
 
 def _orthogonal_columns(p: Matrix) -> tuple[IntVector, ...]:
@@ -210,11 +227,6 @@ def verify_spectral_operator(op: SpectralOperator) -> None:
         raise IncompleteBasis(f"operator {op.name!r}: projectors do not sum to identity")
 
 
-def _scaled_outer(v: Vector) -> Matrix:
-    ns = norm_sq(v)
-    return tuple(tuple(e / ns for e in row) for row in outer_self(v))
-
-
 def make_operator(
     name: str,
     dim: int,
@@ -228,7 +240,7 @@ def make_operator(
     Raises NotOrthogonal, IncompleteBasis or DuplicateEigenvalue, naming
     the operator and the offending data.
     """
-    groups: list[tuple[Fraction, list[Vector], list[IntVector]]] = []
+    groups: list[tuple[Fraction, list[IntVector]]] = []
     seen: set[Fraction] = set()
     total = 0
     for raw_val, raw_vecs in eigendata:
@@ -255,21 +267,20 @@ def make_operator(
                         f"{val} are not orthogonal"
                     )
         total += len(vecs)
-        groups.append((val, vecs, ints))
+        groups.append((val, ints))
     if total != dim:
         raise IncompleteBasis(
             f"operator {name!r}: {total} eigenvectors for dimension {dim}"
         )
     groups.sort(key=lambda g: g[0])
-    for i, (a, _, ints_a) in enumerate(groups):
-        for b, _, ints_b in groups[i + 1:]:
+    for i, (a, ints_a) in enumerate(groups):
+        for b, ints_b in groups[i + 1:]:
             if not all(orthogonal(u, v) for u in ints_a for v in ints_b):
                 raise NotOrthogonal(
                     f"operator {name!r}: projectors of {a} and {b} are not orthogonal"
                 )
     return SpectralOperator._spanned(
-        name, dim, (g[0] for g in groups), tuple(tuple(g[2]) for g in groups),
-        lambda: tuple(reduce(mat_add, map(_scaled_outer, g[1])) for g in groups),
+        name, dim, (g[0] for g in groups), tuple(tuple(g[1]) for g in groups)
     )
 
 
@@ -279,7 +290,6 @@ def _coarsening(op: SpectralOperator, name: str, spectrum, masks) -> SpectralOpe
     return SpectralOperator._spanned(
         name, op.dim, spectrum,
         tuple(tuple(v for i in _bits(m) for v in op.vectors[i]) for m in masks),
-        lambda: tuple(reduce(mat_add, [op.projectors[i] for i in _bits(m)]) for m in masks),
     )
 
 
@@ -564,16 +574,11 @@ def build_operator_category(
             for j in flat:
                 out[j] = (0,) * len(a_op.spectrum)
 
-    arrows: list[Arrow] = []
-    images: dict[str, tuple[int, ...]] = {}
-    for a_op, out in zip(objects, targets):
-        for j in sorted(out):
-            b_op = objects[j]
-            aid = f"id_{a_op.name}" if b_op is a_op else f"{a_op.name}->{b_op.name}"
-            arrows.append(Arrow(aid, a_op.name, b_op.name))
-            images[aid] = out[j]
-
-    base = thin_category([op.name for op in objects], arrows)
+    related = [(k, j) for k, out in enumerate(targets) for j in sorted(out)]
+    base = thin_category(
+        [op.name for op in objects], [(objects[k].name, objects[j].name) for k, j in related]
+    )
+    images = dict(zip(base.arrows, [targets[k][j] for k, j in related]))
     return OperatorCategory(base, {op.name: op for op in objects}, images)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SieveLogicError
@@ -99,23 +98,6 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def format_complex(value: QC) -> str:
-    if not value.im:
-        return format_rational(value.re)
-    if not value.re:
-        if value.im == 1:
-            return "i"
-        if value.im == -1:
-            return "-i"
-        return f"{format_rational(value.im)}i"
-    sign = "+" if value.im > 0 else "-"
-    return f"{format_rational(value.re)}{sign}{format_rational(abs(value.im))}i"
-
-
-def format_vector(v: Vector) -> str:
-    return "(" + ", ".join(format_complex(e) for e in v) + ")"
-
-
 def format_delta(delta) -> str:
     return "{" + ",".join(format_rational(v) for v in sorted(delta)) + "}"
 
@@ -153,9 +135,10 @@ def _split_vectors(text: str, line_no: int, line: str) -> list[Vector]:
         raise ParseError(str(exc), line_no, _column(line, text)) from None
 
 
-def _column(line: str, token: str) -> int:
-    idx = line.find(token.strip()[:1]) if token.strip() else -1
-    return idx + 1 if idx >= 0 else 1
+def _column(line: str, suffix: str) -> int:
+    """The column of the first non-blank character of ``suffix``, a suffix
+    of ``line``."""
+    return len(line) - len(suffix.lstrip()) + 1
 
 
 def _meaningful_lines(text: str):
@@ -203,13 +186,13 @@ def parse_scenario(text: str) -> Scenario:
             if not sep:
                 raise ParseError("EIGENVALUE needs ': vectors'", line_no, 12)
             try:
-                value = parse_rational(head)
+                value = parse_rational(head.strip())
             except ValueError as exc:
-                raise ParseError(str(exc), line_no, _column(line, head)) from None
+                raise ParseError(str(exc), line_no, _column(line, rest)) from None
             if any(value == v for v, _ in current.eigendata):
                 raise ParseError(
                     f"duplicate eigenvalue {format_rational(value)} in "
-                    f"{current.name!r}", line_no, _column(line, head)
+                    f"{current.name!r}", line_no, _column(line, rest)
                 )
             current.eigendata.append((value, _split_vectors(tail, line_no, line)))
         elif keyword == "STATE":
@@ -240,14 +223,16 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(
                     "QUERY needs '<state> <operator> {eigenvalues}'", line_no, 7
                 )
-            raw_vals = [p for p in re.split(r"[,\s]+", m.group(3).strip()) if p]
-            if not raw_vals:
+            vals = []
+            for t in re.finditer(r"[^,\s]+", m.group(3)):
+                try:
+                    vals.append(parse_rational(t.group()))
+                except ValueError as exc:
+                    column = _column(line, rest[m.start(3) + t.start():])
+                    raise ParseError(str(exc), line_no, column) from None
+            if not vals:
                 raise ParseError("QUERY needs at least one eigenvalue", line_no, 7)
-            try:
-                vals = tuple(parse_rational(p) for p in raw_vals)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no, _column(line, m.group(3))) from None
-            queries.append(Query(m.group(1), m.group(2), vals))
+            queries.append(Query(m.group(1), m.group(2), tuple(vals)))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line_no, 1)
 
@@ -326,11 +311,3 @@ def validate_scenario(scn: Scenario, ops: list[SpectralOperator]) -> dict[str, S
 
 def build_scenario_category(scn: Scenario, ops: list[SpectralOperator]) -> OperatorCategory:
     return build_operator_category(ops, close_under_questions=scn.close_under_questions)
-
-
-def bundled_fixture(name: str) -> Path:
-    """Path of a fixture file shipped with the package."""
-    path = Path(__file__).resolve().parent / "fixtures" / name
-    if not path.exists():
-        raise FileNotFoundError(f"no bundled fixture named {name!r}")
-    return path

@@ -10,15 +10,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import sievelogic
 from sievelogic.exact import (
     QC,
     QC_ONE,
     identity_matrix,
-    inner,
     is_zero_vector,
     mat_add,
     mat_mul,
-    matrix,
     vector,
 )
 from sievelogic.fincat import Arrow, build_category, poset_to_category
@@ -29,14 +28,22 @@ from sievelogic.quantum import (
 )
 from sievelogic.scenario import (
     build_scenario_category,
-    bundled_fixture,
-    format_vector,
     parse_scenario,
     scenario_operators,
 )
 
+from oracles import format_vector, inner, matrix
+
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bundled_fixture(name: str) -> Path:
+    """Path of a fixture file shipped with the package."""
+    path = Path(sievelogic.__file__).resolve().parent / "fixtures" / name
+    if not path.exists():
+        raise FileNotFoundError(f"no bundled fixture named {name!r}")
+    return path
 
 
 def perfbench_json(script: str, *args: str):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sievelogic.exact import QC, Vector, inner, is_zero_vector, norm_sq, vector
+from sievelogic.exact import QC, Vector, is_zero_vector, vector
 from sievelogic.quantum import (
     OperatorCategory,
     SpectralOperator,
@@ -24,6 +24,8 @@ from sievelogic.quantum import (
     make_operator,
     make_state,
 )
+
+from oracles import inner, norm_sq
 
 _ENTRY_POOL = [-2, -1, -1, 0, 0, 0, 1, 1, 2]
 

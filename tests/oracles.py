@@ -27,19 +27,19 @@ from typing import Iterable, Sequence
 
 from sievelogic.errors import SizeLimitExceeded
 from sievelogic.exact import (
+    QC,
     QC_ZERO,
     Matrix,
+    RationalLike,
     Vector,
     as_fraction,
     identity_matrix,
-    inner,
     is_zero_vector,
     mat_add,
     mat_mul,
-    norm_sq,
     zero_matrix,
 )
-from sievelogic.fincat import Arrow, Check, FinCategory, arrows_from, thin_category
+from sievelogic.fincat import Check, FinCategory, arrows_from, thin_category
 from sievelogic.heyting import FiniteTopology, HeytingAlgebraTable, Sieve, is_sieve
 from sievelogic.presheaf import (
     DEFAULT_ENUM_LOG2,
@@ -369,6 +369,51 @@ def dict_validate_heyting_table(table: HeytingAlgebraTable) -> Check:
     return Check(True)
 
 
+# --- dense vectors and matrices, which the library itself does not need -----
+
+def matrix(rows: Iterable[Iterable[QC | RationalLike]]) -> Matrix:
+    return tuple(tuple(QC.of(e) for e in row) for row in rows)
+
+
+def outer_self(v: Vector) -> Matrix:
+    """The rank-one matrix ``v v†`` (unnormalized)."""
+    return tuple(tuple(vi * vj.conj() for vj in v) for vi in v)
+
+
+def inner(u: Vector, v: Vector) -> QC:
+    """Physics-convention inner product, conjugate-linear in the first slot."""
+    acc = QC_ZERO
+    for x, y in zip(u, v):
+        acc = acc + x.conj() * y
+    return acc
+
+
+def norm_sq(v: Vector) -> Fraction:
+    value = inner(v, v)
+    # <v, v> is real by construction; the imaginary part cancels exactly.
+    assert not value.im
+    return value.re
+
+
+def format_complex(value: QC) -> str:
+    """A complex entry in the scenario grammar, which parses back to ``value``."""
+    if not value.im:
+        return str(value.re)
+    if not value.re:
+        if value.im == 1:
+            return "i"
+        if value.im == -1:
+            return "-i"
+        return f"{value.im}i"
+    sign = "+" if value.im > 0 else "-"
+    return f"{value.re}{sign}{abs(value.im)}i"
+
+
+def format_vector(v: Vector) -> str:
+    """A vector in the scenario grammar, which parses back to ``v``."""
+    return "(" + ", ".join(format_complex(e) for e in v) + ")"
+
+
 def dense_mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The matrix product, summing every term."""
     return tuple(
@@ -599,8 +644,8 @@ def matrix_operator_category(
         for pid in ids:
             holders.setdefault(pid, []).append(k)
 
-    arrows: list[Arrow] = []
-    images: dict[str, tuple[int, ...]] = {}
+    related: list[tuple[str, str]] = []
+    images: list[tuple[int, ...]] = []
 
     for a_op in objects:
         hit: dict[int, int] = {}
@@ -617,15 +662,11 @@ def matrix_operator_category(
                 for i in range(len(image)):
                     if hit[pid] >> i & 1:
                         image[i] = j
-            if a_op.name == b_op.name:
-                aid = f"id_{a_op.name}"
-            else:
-                aid = f"{a_op.name}->{b_op.name}"
-            arrows.append(Arrow(aid, a_op.name, b_op.name))
-            images[aid] = tuple(image)
+            related.append((a_op.name, b_op.name))
+            images.append(tuple(image))
 
-    base = thin_category([op.name for op in objects], arrows)
-    return OperatorCategory(base, op_by_name, images)
+    base = thin_category([op.name for op in objects], related)
+    return OperatorCategory(base, op_by_name, dict(zip(base.arrows, images)))
 
 
 def _first_nonzero_column(m: Matrix) -> Vector:

@@ -48,9 +48,9 @@ from sievelogic.quantum import (
     spectrum_subsets,
     valuation_transformation,
 )
-from sievelogic.scenario import bundled_fixture, parse_scenario
+from sievelogic.scenario import parse_scenario
 
-from conftest import ALL_CATEGORY_FIXTURES, OPERATOR_CATEGORY_FIXTURES
+from conftest import ALL_CATEGORY_FIXTURES, OPERATOR_CATEGORY_FIXTURES, bundled_fixture
 from oracles import dense_mat_vec, projector_leq
 
 

@@ -11,14 +11,19 @@ import pytest
 from sievelogic.heyting import open_set_heyting, sieve_algebra
 from sievelogic.quantum import MAX_QUESTIONS, build_operator_category
 from sievelogic.scenario import (
-    bundled_fixture,
     looks_like_topology,
     parse_scenario,
     parse_topology,
     scenario_operators,
 )
 
-from conftest import PERFBENCH, category_shape, perfbench_json, scenario_category
+from conftest import (
+    PERFBENCH,
+    bundled_fixture,
+    category_shape,
+    perfbench_json,
+    scenario_category,
+)
 from oracles import matrix_operator_category
 
 ROOT = PERFBENCH.parent

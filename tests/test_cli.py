@@ -13,9 +13,8 @@ from sievelogic import cli, heyting, quantum, scenario
 from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
-from sievelogic.scenario import bundled_fixture
 
-from conftest import peres_bases
+from conftest import bundled_fixture, peres_bases
 from genscen import scenario_text
 from oracles import (
     backtrack_section_search,
@@ -105,6 +104,30 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
     assert "ParseError" in out
     assert "line 1" in out
+
+
+def test_parse_error_names_the_bad_query_token(tmp_path):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE -1 : (0,1)\n"
+                   "STATE s1 (1,0)\nQUERY s1 z {1, x}\n")
+    code, out = run_cli("valuate", str(bad), "--format", "record")
+    assert code == 2
+    rec = record_dict(out)
+    assert rec["error"] == "ParseError"
+    assert rec["detail"] == "line 6, column 16: not a rational: 'x'"
+
+
+def test_colliding_arrow_tokens_exit_1(tmp_path):
+    # Equal eigenspaces make arrows both ways between 'a' and 'a->a', and
+    # both are named 'a->a->a'.
+    path = tmp_path / "collide.scn"
+    path.write_text("DIM 2\nOPERATOR a\nEIGENVALUE 0 : (1,0)\nEIGENVALUE 1 : (0,1)\n"
+                    "OPERATOR a->a\nEIGENVALUE 0 : (1,0)\nEIGENVALUE 1 : (0,1)\n")
+    code, out = run_cli("category", str(path), "--format", "record")
+    assert code == 1
+    rec = record_dict(out)
+    assert rec["error"] == "CategoryError"
+    assert rec["detail"] == "duplicate arrow token 'a->a->a'"
 
 
 @pytest.mark.parametrize("fmt", ["human", "record"])
@@ -622,6 +645,19 @@ def test_reports_compute_no_projector(monkeypatch, cabello_queries, command):
 
     expected = run_cli(command, cabello_queries)
     monkeypatch.setattr(quantum.SpectralOperator, "projectors", property(refuse))
+    assert run_cli(command, cabello_queries) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("command", ["category", "valuate"])
+def test_reports_build_no_eigenvalue_dict(monkeypatch, cabello_queries, command):
+    # Arrow functions are printed from the level maps, not from
+    # arrow_function's per-arrow eigenvalue dicts.
+    def refuse(self, arrow_id):
+        raise AssertionError(f"eigenvalue dict of {arrow_id!r} built")
+
+    expected = run_cli(command, cabello_queries)
+    monkeypatch.setattr(quantum.OperatorCategory, "arrow_function", refuse)
     assert run_cli(command, cabello_queries) == expected
     assert expected[0] == 0
 

@@ -6,19 +6,15 @@ from sievelogic.exact import (
     QC,
     conj_transpose,
     identity_matrix,
-    inner,
     is_hermitian,
     is_idempotent,
     mat_add,
     mat_mul,
-    matrix,
-    norm_sq,
-    outer_self,
     vector,
     zero_matrix,
 )
 
-from oracles import dense_mat_mul, projector_leq
+from oracles import dense_mat_mul, inner, matrix, norm_sq, outer_self, projector_leq
 
 
 def test_qc_arithmetic():

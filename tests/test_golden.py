@@ -24,9 +24,8 @@ from pathlib import Path
 import pytest
 
 from sievelogic.cli import main
-from sievelogic.scenario import bundled_fixture
 
-from conftest import bench_inputs
+from conftest import bench_inputs, bundled_fixture
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 FIXTURES = ["cabello18.scn", "sierpinski.top", "sigma_z.scn", "sigma_zx.scn", "vposet.top"]

@@ -11,9 +11,6 @@ from sievelogic.exact import (
     QC,
     identity_matrix,
     mat_add,
-    matrix,
-    norm_sq,
-    outer_self,
     vector,
     zero_matrix,
 )
@@ -59,7 +56,6 @@ from sievelogic.quantum import (
     verify_spectral_operator,
 )
 from sievelogic.scenario import (
-    bundled_fixture,
     parse_scenario,
     scenario_operators,
     scenario_states,
@@ -69,6 +65,7 @@ from conftest import (
     OPERATOR_CATEGORY_FIXTURES,
     THIN_OPERATOR_FIXTURES,
     bundled_category,
+    bundled_fixture,
     category_shape,
     diagonal_operator,
     mermin_bases,
@@ -76,9 +73,13 @@ from conftest import (
 )
 from genscen import random_orthogonal_basis
 from oracles import (
+    inner,
+    matrix,
     matrix_born_prob,
     matrix_find_arrow,
     matrix_operator_category,
+    norm_sq,
+    outer_self,
     projector_fixpoint_sieve,
     projector_leq,
 )
@@ -208,6 +209,20 @@ def test_make_operator_overlap_matches_verifier(name, dim, eigendata):
         make_operator(name, dim, eigendata)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "operator_categories", ["bundled_categories", "generated_categories"], indirect=True
+)
+def test_closed_category_objects_pass_the_verifier(operator_categories):
+    # Seeds, questions and constants all take their projectors from their
+    # vectors by one rule; each object must satisfy the operator laws.
+    spectra = set()
+    for ocat in operator_categories:
+        for op in ocat.operators.values():
+            verify_spectral_operator(op)
+            spectra.add(len(op.spectrum))
+    assert {1, 2} <= spectra
 
 
 # --- functions of operators --------------------------------------------------

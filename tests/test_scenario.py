@@ -9,10 +9,7 @@ from sievelogic.scenario import (
     ParseError,
     UnknownName,
     build_scenario_category,
-    bundled_fixture,
-    format_complex,
     format_rational,
-    format_vector,
     looks_like_topology,
     parse_complex,
     parse_rational,
@@ -23,6 +20,9 @@ from sievelogic.scenario import (
     scenario_states,
     validate_scenario,
 )
+
+from conftest import bundled_fixture
+from oracles import format_complex, format_vector
 
 
 # --- number grammar ----------------------------------------------------------
@@ -158,6 +158,20 @@ def test_parse_error_carries_position():
         assert exc.column >= 1
     else:
         pytest.fail("expected ParseError")
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("DIM 2\nOPERATOR z\nEIGENVALUE E : (1,0)\n", "line 3, column 12: not a rational: 'E'"),
+    (
+        "DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE -1 : (0,1)\n"
+        "STATE s1 (1,0)\nQUERY s1 z {1, x}\n",
+        "line 6, column 16: not a rational: 'x'",
+    ),
+])
+def test_parse_error_column_is_the_token(text, detail):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == detail
 
 
 def test_validate_scenario_unknown_state():
