@@ -1,15 +1,15 @@
 """Finite categories with eager, total validation.
 
-A category is stored as explicit object and arrow tokens plus a complete
-composition table, checked when it is built, so every other module can
-trust any :class:`FinCategory` it is handed. :func:`build_category`
-validates a user-supplied table: identity arrows, domain/codomain
-bookkeeping, the identity laws, and associativity over every composable
-triple. :func:`thin_category` builds posets and the operator preorder
-from their related pairs, one arrow per pair, named ``id_p`` or
-``p->q``: the endpoints fix every composite, so thin categories are
-associative by construction and only distinct tokens, reflexivity and
-transitivity are checked.
+A category is stored as explicit object and arrow tokens plus one rule
+composing any composable pair, checked when it is built, so every other
+module can trust any :class:`FinCategory` it is handed.
+:func:`build_category` validates a user-supplied table, then composes by
+it: identity arrows, domain/codomain bookkeeping, the identity laws, and
+associativity over every composable triple. :func:`thin_category` builds
+posets and the operator preorder from their related pairs, one arrow per
+pair, named ``id_p`` or ``p->q``, and composes by the endpoints, so it
+stores no table and is associative by construction; the relation must be
+transitive, which :func:`poset_to_category` checks on user input.
 
 Composition order: for ``g: C -> B`` and ``f: B -> A`` the composite is
 ``compose(cat, f, g) = f after g : C -> A``. All modules use this order.
@@ -19,7 +19,7 @@ arrows may coexist.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Frozen, SieveLogicError
 
@@ -92,14 +92,13 @@ class Check(NamedTuple):
 
 
 class FinCategory:
-    """An immutable, fully validated finite category.
-
+    """An immutable, fully validated finite category; ``compose(f, g)``
+    gives the token of ``f after g`` for a composable pair of its arrows.
     Instances come from :func:`build_category` or :func:`thin_category`;
-    nothing mutates them afterwards, so they are safe to share across
-    threads.
+    nothing mutates them afterwards, so they are safe to share across threads.
     """
 
-    __slots__ = ("objects", "arrows", "identities", "composition", "_by_dom",
+    __slots__ = ("objects", "arrows", "identities", "_compose", "_by_dom",
                  "_identity_ids")
 
     def __init__(
@@ -107,12 +106,12 @@ class FinCategory:
         objects: tuple[str, ...],
         arrows: dict[str, Arrow],
         identities: dict[str, str],
-        composition: dict[tuple[str, str], str],
+        compose: Callable[[Arrow, Arrow], str],
     ):
         self.objects = objects
         self.arrows = arrows
         self.identities = identities
-        self.composition = composition
+        self._compose = compose
         by_dom: dict[str, list[Arrow]] = {obj: [] for obj in objects}
         for a in arrows.values():
             by_dom[a.dom].append(a)
@@ -137,14 +136,19 @@ class FinCategory:
     def is_identity(self, arrow_id: str) -> bool:
         return arrow_id in self._identity_ids
 
+    @property
+    def composition(self) -> dict[tuple[str, str], str]:
+        """``{(f_id, g_id): f after g}`` over every composable pair, g in
+        arrow order and f by token; derived afresh on each read."""
+        return {(f.id, g.id): self._compose(f, g)
+                for g in self.arrows.values() for f in self._by_dom[g.cod]}
+
     def compose_ids(self, f_id: str, g_id: str) -> str:
         """Token of ``f after g``; raises NotComposable when undefined."""
-        try:
-            return self.composition[(f_id, g_id)]
-        except KeyError:
-            raise NotComposable(
-                f"arrows {f_id!r} after {g_id!r} do not compose"
-            ) from None
+        f, g = self.arrows.get(f_id), self.arrows.get(g_id)
+        if f is None or g is None or g.cod != f.dom:
+            raise NotComposable(f"arrows {f_id!r} after {g_id!r} do not compose")
+        return self._compose(f, g)
 
 
 def arrows_from(cat: FinCategory, obj: str) -> tuple[Arrow, ...]:
@@ -164,7 +168,7 @@ def compose(cat: FinCategory, f: Arrow, g: Arrow) -> Arrow:
         raise NotComposable(
             f"cod of {g.id!r} is {g.cod!r} but dom of {f.id!r} is {f.dom!r}"
         )
-    return cat.arrows[cat.composition[(f.id, g.id)]]
+    return cat.arrows[cat._compose(f, g)]
 
 
 def _tokens(
@@ -247,7 +251,7 @@ def build_category(
         table.setdefault((ident[a.cod], a.id), a.id)
         table.setdefault((a.id, ident[a.dom]), a.id)
 
-    cat = FinCategory(objs, arrow_map, ident, table)
+    cat = FinCategory(objs, arrow_map, ident, lambda f, g: table[f.id, g.id])
     # Totality on composable pairs.
     for g in arrow_map.values():
         for f in arrows_from(cat, g.cod):
@@ -278,10 +282,10 @@ def thin_category(
     identities ``(p, p)`` included, named ``id_p`` or ``p->q``; the arrows
     keep the order of ``related``.
 
-    The composite of ``f: p -> q`` and ``g: q -> r`` is the arrow
-    ``p -> r``, read off the endpoints over the composable pairs only.
+    The composite of ``f: q -> r`` after ``g: p -> q`` is the arrow
+    ``p -> r``, read off the relation, which must therefore be transitive.
     Raises MissingIdentity unless the relation is reflexive, and
-    CategoryError if two arrows share a token or it is not transitive.
+    CategoryError if two arrows share a token.
     """
     between = {(p, q): f"id_{p}" if p == q else f"{p}->{q}" for p, q in related}
     objs, arrow_map = _tokens(objects, (Arrow(a, p, q) for (p, q), a in between.items()))
@@ -290,20 +294,7 @@ def thin_category(
         if (obj, obj) not in between:
             raise MissingIdentity(f"object {obj!r} has no identity arrow")
         identities[obj] = between[(obj, obj)]
-
-    # The table is filled in before the category is handed out.
-    composition: dict[tuple[str, str], str] = {}
-    cat = FinCategory(objs, arrow_map, identities, composition)
-    for f in arrow_map.values():
-        for g in arrows_from(cat, f.cod):
-            h = between.get((f.dom, g.cod))
-            if h is None:
-                raise CategoryError(
-                    f"transitivity fails: {f.dom!r} -> {f.cod!r} -> {g.cod!r} "
-                    f"but no arrow {f.dom!r} -> {g.cod!r}"
-                )
-            composition[(g.id, f.id)] = h
-    return cat
+    return FinCategory(objs, arrow_map, identities, lambda f, g: between[g.dom, f.cod])
 
 
 def poset_to_category(
@@ -325,6 +316,14 @@ def poset_to_category(
             raise NotAPoset(f"antisymmetry fails: {p!r} <= {q!r} and {q!r} <= {p!r}")
 
     try:
-        return thin_category(elems, [(p, p) for p in elems] + sorted(rel))
+        cat = thin_category(elems, [(p, p) for p in elems] + sorted(rel))
     except CategoryError as exc:
         raise NotAPoset(str(exc)) from None
+    for f in cat.arrows.values():
+        for g in arrows_from(cat, f.cod):  # rel holds no pair (p, p)
+            if f.dom != g.cod and (f.dom, g.cod) not in rel:
+                raise NotAPoset(
+                    f"transitivity fails: {f.dom!r} -> {f.cod!r} -> {g.cod!r} "
+                    f"but no arrow {f.dom!r} -> {g.cod!r}"
+                )
+    return cat

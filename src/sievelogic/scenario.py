@@ -225,11 +225,16 @@ def parse_scenario(text: str) -> Scenario:
                 )
             vals = []
             for t in re.finditer(r"[^,\s]+", m.group(3)):
+                column = _column(line, rest[m.start(3) + t.start():])
                 try:
-                    vals.append(parse_rational(t.group()))
+                    value = parse_rational(t.group())
                 except ValueError as exc:
-                    column = _column(line, rest[m.start(3) + t.start():])
                     raise ParseError(str(exc), line_no, column) from None
+                if value in vals:
+                    raise ParseError(
+                        f"duplicate eigenvalue {format_rational(value)} in QUERY", line_no, column
+                    )
+                vals.append(value)
             if not vals:
                 raise ParseError("QUERY needs at least one eigenvalue", line_no, 7)
             queries.append(Query(m.group(1), m.group(2), tuple(vals)))

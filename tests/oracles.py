@@ -12,10 +12,11 @@ codomain's spectral projector, open-set implication is the union of every
 open that qualifies, and matrix products sum every term, zeros included.
 Heyting report fields are rendered, and the Heyting laws checked, through
 a table's pair-keyed views, one cell and one element lookup at a time.
-The operator category is built from projector matrices: subset sums of
-each object's projectors, interned by value, under a budget of matrix
-entries. Born probabilities are Rayleigh quotients of the summed
-projector matrix.
+A thin category's composites are read off its arrows' endpoints, one
+composable pair at a time. The operator category is built from projector
+matrices: subset sums of each object's projectors, interned by value,
+under a budget of matrix entries. Born probabilities are Rayleigh
+quotients of the summed projector matrix.
 """
 
 from __future__ import annotations
@@ -243,6 +244,23 @@ def product_natural_transformations(
 
     extend(0)
     return result
+
+
+def endpoint_table(cat: FinCategory) -> dict[tuple[str, str], str]:
+    """The composition table of a thin category, filled from its arrows'
+    endpoints: for each arrow f and each g out of ``f.cod``, ``g after f``
+    is the arrow ``f.dom -> g.cod``. Fails if that arrow is missing, that
+    is, if the relation is not transitive."""
+    between = {(a.dom, a.cod): a.id for a in cat.arrows.values()}
+    assert len(between) == len(cat.arrows), "not a thin category"
+    table = {}
+    for f in cat.arrows.values():
+        for g in arrows_from(cat, f.cod):
+            assert (f.dom, g.cod) in between, (
+                f"transitivity fails: {f.dom!r} -> {f.cod!r} -> {g.cod!r}"
+            )
+            table[(g.id, f.id)] = between[(f.dom, g.cod)]
+    return table
 
 
 def power_set_sieves(cat: FinCategory, obj: str) -> set[frozenset]:

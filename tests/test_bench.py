@@ -24,7 +24,7 @@ from conftest import (
     perfbench_json,
     scenario_category,
 )
-from oracles import matrix_operator_category
+from oracles import endpoint_table, matrix_operator_category
 
 ROOT = PERFBENCH.parent
 
@@ -62,16 +62,16 @@ def bench_scenarios():
 
 def test_bench_inputs_pass_closure_guard(bench_scenarios):
     # Every input builds, with room under the guard, into the category the
-    # matrix reference builds.
+    # matrix reference builds, whose relation fixes its composites.
     assert len(bench_scenarios) >= 30
     for scn in bench_scenarios:
         ops = scenario_operators(scn)
         close = scn.close_under_questions
         questions = sum((1 << len(op.spectrum)) - 2 for op in ops) if close else 0
         assert questions <= MAX_QUESTIONS // 8
-        assert category_shape(build_operator_category(ops, close)) == category_shape(
-            matrix_operator_category(ops, close)
-        )
+        ocat = build_operator_category(ops, close)
+        assert category_shape(ocat) == category_shape(matrix_operator_category(ops, close))
+        assert list(ocat.base.composition.items()) == list(endpoint_table(ocat.base).items())
 
 
 def test_heyting_inputs_pass_table_guard(heyting_bench_inputs):

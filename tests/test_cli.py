@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sievelogic
-from sievelogic import cli, heyting, quantum, scenario
+from sievelogic import cli, fincat, heyting, quantum, scenario
 from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
@@ -115,6 +115,17 @@ def test_parse_error_names_the_bad_query_token(tmp_path):
     rec = record_dict(out)
     assert rec["error"] == "ParseError"
     assert rec["detail"] == "line 6, column 16: not a rational: 'x'"
+
+
+def test_repeated_query_eigenvalue_exits_2(tmp_path):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE -1 : (0,1)\n"
+                   "STATE up (1,0)\nQUERY up z {1, 1}\n")
+    code, out = run_cli("valuate", str(bad), "--format", "record")
+    assert code == 2
+    rec = record_dict(out)
+    assert rec["error"] == "ParseError"
+    assert rec["detail"] == "line 6, column 16: duplicate eigenvalue 1 in QUERY"
 
 
 def test_colliding_arrow_tokens_exit_1(tmp_path):
@@ -645,6 +656,19 @@ def test_reports_compute_no_projector(monkeypatch, cabello_queries, command):
 
     expected = run_cli(command, cabello_queries)
     monkeypatch.setattr(quantum.SpectralOperator, "projectors", property(refuse))
+    assert run_cli(command, cabello_queries) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "category", "valuate", "ks-search", "heyting"])
+def test_reports_build_no_composition_table(monkeypatch, cabello_queries, command):
+    # Reports compose through compose_ids; the derived table is for
+    # library callers only.
+    def refuse(cat):
+        raise AssertionError("a composition table was built")
+
+    expected = run_cli(command, cabello_queries)
+    monkeypatch.setattr(fincat.FinCategory, "composition", property(refuse))
     assert run_cli(command, cabello_queries) == expected
     assert expected[0] == 0
 

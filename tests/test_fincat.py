@@ -3,7 +3,6 @@ import pytest
 from sievelogic.fincat import (
     Arrow,
     AssociativityViolation,
-    CategoryError,
     CompositionDomainMismatch,
     IdentityLawViolation,
     MissingIdentity,
@@ -17,7 +16,13 @@ from sievelogic.fincat import (
     thin_category,
 )
 
-from conftest import ALL_CATEGORY_FIXTURES, POSET_FIXTURES, THIN_OPERATOR_FIXTURES
+from conftest import (
+    ALL_CATEGORY_FIXTURES,
+    PLAIN_CATEGORY_FIXTURES,
+    POSET_FIXTURES,
+    THIN_OPERATOR_FIXTURES,
+)
+from oracles import endpoint_table
 
 
 def test_one_object_category(one_object):
@@ -122,8 +127,9 @@ def test_not_a_poset_antisymmetry():
 def test_not_a_poset_transitivity():
     # poset_to_category treats the relation as given (plus reflexivity);
     # a missing transitive pair is a witnessed failure.
-    with pytest.raises(NotAPoset, match="transitivity"):
+    with pytest.raises(NotAPoset) as exc:
         poset_to_category(["p", "q", "r"], [("p", "q"), ("q", "r")])
+    assert str(exc.value) == "transitivity fails: 'p' -> 'q' -> 'r' but no arrow 'p' -> 'r'"
 
 
 @pytest.mark.parametrize("pair", [("p", "x"), ("x", "x")])
@@ -140,6 +146,18 @@ def test_unknown_object(chain3):
 def test_poset_thinness(diamond):
     endpoints = [(a.dom, a.cod) for a in diamond.arrows.values()]
     assert len(endpoints) == len(set(endpoints))
+
+
+@pytest.mark.parametrize("fixture_category,f_id,g_id", [
+    ("two_free", "nope", "f"), ("two_free", "id_A", "f"),
+    ("chain3", "p->q", "nope"), ("chain3", "p->q", "q->r"),
+], indirect=["fixture_category"])
+def test_compose_ids_rejects_what_does_not_compose(fixture_category, f_id, g_id):
+    # An unknown token, then a pair that does not meet, on a category
+    # built from a table (two_free) and on a thin one (chain3).
+    with pytest.raises(NotComposable) as exc:
+        fixture_category.compose_ids(f_id, g_id)
+    assert str(exc.value) == f"arrows {f_id!r} after {g_id!r} do not compose"
 
 
 @pytest.mark.parametrize("fixture_category", ALL_CATEGORY_FIXTURES, indirect=True)
@@ -188,9 +206,15 @@ def test_thin_category_requires_reflexivity():
         _thin(("a", "a"), ("a", "b"))
 
 
-def test_thin_category_requires_transitivity():
-    with pytest.raises(CategoryError, match="transitivity"):
-        _thin(("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"))
+@pytest.mark.parametrize(
+    "operator_categories", PLAIN_CATEGORY_FIXTURES + THIN_OPERATOR_FIXTURES, indirect=True
+)
+def test_composition_is_the_endpoint_table(operator_categories):
+    # Every category here is thin, so its relation fixes the table the
+    # thin constructor used to store, in the order it stored it.
+    for cat in operator_categories:
+        cat = getattr(cat, "base", cat)
+        assert list(cat.composition.items()) == list(endpoint_table(cat).items())
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,7 @@ from conftest import (
 )
 from genscen import random_orthogonal_basis
 from oracles import (
+    endpoint_table,
     inner,
     matrix,
     matrix_born_prob,
@@ -515,11 +516,17 @@ def test_mermin_star_matches_matrix_reference(mermin_path):
     assert category_shape(ocat) == category_shape(
         matrix_operator_category(ops, close_under_questions=True)
     )
+    assert list(ocat.base.composition.items()) == list(endpoint_table(ocat.base).items())
 
 
 def test_kernaghan_peres_passes_closure_guard(kernaghan_peres_text):
     ocat = scenario_category(kernaghan_peres_text)
     assert (len(ocat.base.objects), len(ocat.base.arrows)) == (5197, 27109)
+    # The build's relation is transitive: it gives the table of 93,973
+    # composites that thin categories once stored.
+    table = endpoint_table(ocat.base)
+    assert len(table) == 93973
+    assert list(ocat.base.composition.items()) == list(table.items())
 
 
 def _edge_families():

@@ -140,6 +140,8 @@ def test_degenerate_eigenvalue_vectors():
     ("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE 1 : (0,1)\n", "duplicate eigenvalue"),
     ("DIM 2\nFOO bar\n", "unknown keyword"),
     ("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nQUERY a z 1\n", "QUERY"),
+    ("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nQUERY a z {1, 2/2}\n",
+     "duplicate eigenvalue 1 in QUERY"),
     ("DIM 2\n", "no operators"),
     ("DIM 2\nOPERATOR z\nSTATE s (1,0)\nSTATE s (0,1)\n", "duplicate state"),
     ("DIM 2\nOPERATOR z\nSTATE s (1,0) (0,1)\n", "exactly one vector"),
