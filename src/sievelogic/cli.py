@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 from functools import cache
-from pathlib import Path
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .fincat import FinCategory, arrows_from
@@ -59,7 +58,8 @@ def _render(pairs: Pairs, fmt: str, notes: tuple[str, ...] = ()) -> str:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}", 0, 0) from None
     except (OSError, UnicodeDecodeError) as exc:

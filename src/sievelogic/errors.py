@@ -1,9 +1,11 @@
-"""Shared exception roots and the immutable-record base.
+"""Shared exception roots, the immutable-record base and lazy names.
 
 Every validation failure raised by this package derives from
 :class:`SieveLogicError`, so callers (the CLI in particular) can map the
 whole family onto exit codes without enumerating modules. The value
-records that cannot be tuples derive from :class:`Frozen`.
+records that cannot be tuples derive from :class:`Frozen`. Names a module
+exports but no report runs live in a cold module and resolve through
+:func:`lazy_names`.
 """
 
 from operator import attrgetter
@@ -61,3 +63,24 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def lazy_names(namespace: dict, homes: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the module whose globals
+    are ``namespace``: a name in ``homes`` is imported on first read from
+    the sibling module it maps to (or is that module, if it maps to itself)
+    and kept there."""
+
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from importlib import import_module
+        module = import_module(f"{namespace['__package__']}.{home}")
+        value = namespace[name] = module if home == name else getattr(module, name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *homes})
+
+    return __getattr__, __dir__

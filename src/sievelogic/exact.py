@@ -1,9 +1,11 @@
-"""Exact Gaussian-rational scalars and dense matrix helpers.
+"""Exact Gaussian-rational scalars, vectors and Gaussian-integer vectors.
 
 All arithmetic in the operator layer runs over complex numbers whose real
 and imaginary parts are `fractions.Fraction` values. Vectors and square
 matrices are nested tuples of those scalars, equality is literal, and
-nothing anywhere in this module rounds.
+nothing anywhere in this module rounds. Reports need only the vectors;
+the dense matrix functions live in ``spectral`` and resolve here on first
+access.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Union
 
-from .errors import Frozen
+from .errors import Frozen, lazy_names
+
+__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+    "conj_transpose", "identity_matrix", "is_hermitian", "is_idempotent",
+    "is_zero_matrix", "mat_add", "mat_mul", "zero_matrix",
+), "spectral"))
 
 RationalLike = Union[int, Fraction]
 
@@ -89,54 +96,8 @@ def vector(entries: Iterable[QC | RationalLike]) -> Vector:
     return tuple(QC.of(e) for e in entries)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(QC_ONE if i == j else QC_ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def zero_matrix(n: int) -> Matrix:
-    return tuple(tuple(QC_ZERO for _ in range(n)) for _ in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(_dot(row, col) for col in bt) for row in a
-    )
-
-
-def _dot(row: Iterable[QC], col: Iterable[QC]) -> QC:
-    # Projectors and rays are mostly zeros; a zero factor adds nothing.
-    acc = QC_ZERO
-    for x, y in zip(row, col):
-        if (x.re or x.im) and (y.re or y.im):
-            acc = acc + x * y
-    return acc
-
-
-def conj_transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(m[j][i].conj() for j in range(len(m))) for i in range(len(m[0])))
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(e.is_zero() for e in v)
-
-
-def is_zero_matrix(m: Matrix) -> bool:
-    return all(e.is_zero() for row in m for e in row)
-
-
-def is_hermitian(m: Matrix) -> bool:
-    return m == conj_transpose(m)
-
-
-def is_idempotent(m: Matrix) -> bool:
-    return mat_mul(m, m) == m
 
 
 def int_vector(v: Vector) -> IntVector:

@@ -3,13 +3,13 @@
 A category is stored as explicit object and arrow tokens plus one rule
 composing any composable pair, checked when it is built, so every other
 module can trust any :class:`FinCategory` it is handed.
-:func:`build_category` validates a user-supplied table, then composes by
-it: identity arrows, domain/codomain bookkeeping, the identity laws, and
-associativity over every composable triple. :func:`thin_category` builds
-posets and the operator preorder from their related pairs, one arrow per
-pair, named ``id_p`` or ``p->q``, and composes by the endpoints, so it
-stores no table and is associative by construction; the relation must be
-transitive, which :func:`poset_to_category` checks on user input.
+:func:`thin_category` builds the operator preorder (and posets) from
+their related pairs, one arrow per pair, named ``id_p`` or ``p->q``, and
+composes by the endpoints, so it stores no table and is associative by
+construction. The categories built from a user-supplied composition table
+(``build_category``) or poset (``poset_to_category``), ``compose`` and
+the ``Check`` record live in ``topos``, which no report imports, and
+resolve here on first access.
 
 Composition order: for ``g: C -> B`` and ``f: B -> A`` the composite is
 ``compose(cat, f, g) = f after g : C -> A``. All modules use this order.
@@ -19,9 +19,12 @@ arrows may coexist.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable
 
-from .errors import Frozen, SieveLogicError
+from .errors import Frozen, SieveLogicError, lazy_names
+
+__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys(
+    ("Check", "build_category", "compose", "poset_to_category"), "topos"))
 
 
 class CategoryError(SieveLogicError):
@@ -78,17 +81,6 @@ class Arrow(Frozen):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-
-
-class Check(NamedTuple):
-    """The outcome of a diagnostic check; falsy on failure, with a witness
-    naming what failed."""
-
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class FinCategory:
@@ -159,18 +151,6 @@ def arrows_from(cat: FinCategory, obj: str) -> tuple[Arrow, ...]:
         raise UnknownObject(f"no object with token {obj!r}") from None
 
 
-def compose(cat: FinCategory, f: Arrow, g: Arrow) -> Arrow:
-    """The composite ``f after g`` for ``g: C -> B`` and ``f: B -> A``."""
-    for a in (f, g):
-        if cat.arrows.get(a.id) != a:
-            raise UnknownArrow(f"arrow {a.id!r} does not belong to this category")
-    if g.cod != f.dom:
-        raise NotComposable(
-            f"cod of {g.id!r} is {g.cod!r} but dom of {f.id!r} is {f.dom!r}"
-        )
-    return cat.arrows[cat._compose(f, g)]
-
-
 def _tokens(
     objects: Iterable[str], arrows: Iterable[Arrow]
 ) -> tuple[tuple[str, ...], dict[str, Arrow]]:
@@ -189,90 +169,6 @@ def _tokens(
             raise UnknownObject(f"arrow {a.id!r} has unknown codomain {a.cod!r}")
         arrow_map[a.id] = a
     return objs, arrow_map
-
-
-def build_category(
-    objects: Iterable[str],
-    arrows: Iterable[Arrow],
-    identities: Mapping[str, str],
-    composition_table: Mapping[tuple[str, str], str],
-) -> FinCategory:
-    """Validate and assemble a finite category.
-
-    ``composition_table`` maps ``(f_id, g_id)`` to the token of ``f after g``.
-    Entries forced by the identity laws may be omitted; everything else must
-    be present. Raises MissingIdentity, CompositionDomainMismatch,
-    AssociativityViolation or IdentityLawViolation, naming the offending
-    arrows.
-    """
-    objs, arrow_map = _tokens(objects, arrows)
-    ident: dict[str, str] = {}
-    for obj in objs:
-        if obj not in identities:
-            raise MissingIdentity(f"object {obj!r} has no identity arrow")
-        iid = identities[obj]
-        if iid not in arrow_map:
-            raise MissingIdentity(f"identity {iid!r} of {obj!r} is not an arrow")
-        ia = arrow_map[iid]
-        if ia.dom != obj or ia.cod != obj:
-            raise MissingIdentity(
-                f"identity {iid!r} of {obj!r} has endpoints {ia.dom!r} -> {ia.cod!r}"
-            )
-        ident[obj] = iid
-
-    identity_ids = set(ident.values())
-    table: dict[tuple[str, str], str] = {}
-    for (f_id, g_id), h_id in composition_table.items():
-        for a_id in (f_id, g_id, h_id):
-            if a_id not in arrow_map:
-                raise UnknownArrow(f"composition table mentions unknown arrow {a_id!r}")
-        f, g, h = arrow_map[f_id], arrow_map[g_id], arrow_map[h_id]
-        if g.cod != f.dom:
-            raise CompositionDomainMismatch(
-                f"table defines {f_id!r} after {g_id!r} but cod {g.cod!r} != dom {f.dom!r}"
-            )
-        # The identity laws fix entries involving identities outright.
-        forced = f_id if g_id in identity_ids else (g_id if f_id in identity_ids else None)
-        if forced is not None and h_id != forced:
-            raise IdentityLawViolation(
-                f"table entry {f_id!r} after {g_id!r} = {h_id!r} violates the "
-                f"identity law (expected {forced!r})"
-            )
-        if h.dom != g.dom or h.cod != f.cod:
-            raise CompositionDomainMismatch(
-                f"composite of {f_id!r} after {g_id!r} must go "
-                f"{g.dom!r} -> {f.cod!r}, got {h_id!r}: {h.dom!r} -> {h.cod!r}"
-            )
-        table[(f_id, g_id)] = h_id
-
-    # Identity laws force id after f = f and f after id = f; user entries
-    # for these pairs were checked above.
-    for a in arrow_map.values():
-        table.setdefault((ident[a.cod], a.id), a.id)
-        table.setdefault((a.id, ident[a.dom]), a.id)
-
-    cat = FinCategory(objs, arrow_map, ident, lambda f, g: table[f.id, g.id])
-    # Totality on composable pairs.
-    for g in arrow_map.values():
-        for f in arrows_from(cat, g.cod):
-            if (f.id, g.id) not in table:
-                raise CompositionDomainMismatch(
-                    f"no composite defined for {f.id!r} after {g.id!r}"
-                )
-
-    # Associativity over every composable triple.
-    for h in arrow_map.values():
-        for g in arrows_from(cat, h.cod):
-            gh = table[(g.id, h.id)]
-            for f in arrows_from(cat, g.cod):
-                fg = table[(f.id, g.id)]
-                if table[(fg, h.id)] != table[(f.id, gh)]:
-                    raise AssociativityViolation(
-                        f"({f.id!r} after {g.id!r}) after {h.id!r} != "
-                        f"{f.id!r} after ({g.id!r} after {h.id!r})"
-                    )
-
-    return cat
 
 
 def thin_category(
@@ -295,35 +191,3 @@ def thin_category(
             raise MissingIdentity(f"object {obj!r} has no identity arrow")
         identities[obj] = between[(obj, obj)]
     return FinCategory(objs, arrow_map, identities, lambda f, g: between[g.dom, f.cod])
-
-
-def poset_to_category(
-    elements: Sequence[str],
-    leq_relation: Iterable[tuple[str, str]],
-) -> FinCategory:
-    """The thin category of a finite poset: one arrow ``p -> q`` iff p <= q.
-
-    ``leq_relation`` is the full set of related pairs, reflexive pairs
-    included or not (reflexivity is required either way and checked).
-    Raises NotAPoset with a witness on any axiom failure.
-    """
-    elems = tuple(elements)
-    # Pairs left after the identities, unknown elements included, become
-    # arrows; the thin constructor rejects those with unknown endpoints.
-    rel = set(leq_relation) - {(p, p) for p in elems}
-    for p, q in rel:
-        if p != q and (q, p) in rel:
-            raise NotAPoset(f"antisymmetry fails: {p!r} <= {q!r} and {q!r} <= {p!r}")
-
-    try:
-        cat = thin_category(elems, [(p, p) for p in elems] + sorted(rel))
-    except CategoryError as exc:
-        raise NotAPoset(str(exc)) from None
-    for f in cat.arrows.values():
-        for g in arrows_from(cat, f.cod):  # rel holds no pair (p, p)
-            if f.dom != g.cod and (f.dom, g.cod) not in rel:
-                raise NotAPoset(
-                    f"transitivity fails: {f.dom!r} -> {f.cod!r} -> {g.cod!r} "
-                    f"but no arrow {f.dom!r} -> {g.cod!r}"
-                )
-    return cat

@@ -3,17 +3,17 @@ Heyting algebras.
 
 A sieve on an object ``A`` is a set of arrows out of ``A`` closed under
 post-composition; the set of all sieves on ``A`` is a Heyting algebra with
-the principal sieve as unit and the empty sieve as null. In a thin (poset)
-category a sieve is the same thing as an upper set of codomains, and a
-read-only codomain view is provided for that case.
+the principal sieve as unit and the empty sieve as null.
 
 Sieves are stored as explicit arrow-token sets, never as codomain sets, so
 the same code serves thin and non-thin categories. Enumeration and the
 operation tables work on bit masks over ``arrows_from(obj)`` instead: the
 mask of an arrow's post-composites fixes which sets are sieves, and meet,
 join and implication become a few integer operations per pair. The
-per-pair operations (``sieve_meet``, ``sieve_implies``, ...) stay as the
-definitional reference.
+per-pair operations (``sieve_meet``, ``sieve_implies``, ...), the checked
+constructors, pushforward, the thin-category codomain view and the law
+check ``validate_heyting_table`` are the definitional reference no report
+runs: they live in ``topos`` and resolve here on first access.
 
 A Heyting table is stored as rows of element indices, one row per element
 for meet, join and implies plus one not row, filled by one mask kernel for
@@ -25,12 +25,18 @@ only when first read; the law check and the CLI read the rows.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import and_, itemgetter
+from operator import and_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import Frozen, SieveLogicError, SizeLimitExceeded
-from .fincat import Arrow, Check, FinCategory, NotAPoset, UnknownArrow, arrows_from
+from .errors import Frozen, SieveLogicError, SizeLimitExceeded, lazy_names
+from .fincat import Arrow, FinCategory, arrows_from
+
+__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+    "codomain_view", "empty_sieve", "is_sieve", "make_sieve", "principal_sieve",
+    "push_sieve", "sieve_implies", "sieve_join", "sieve_leq", "sieve_meet",
+    "sieve_not", "validate_heyting_table",
+), "topos"))
 
 
 class BaseMismatch(SieveLogicError):
@@ -62,38 +68,6 @@ class Sieve(NamedTuple):
 
     def __contains__(self, arrow_id: str) -> bool:
         return arrow_id in self.members
-
-
-def empty_sieve(base: str) -> Sieve:
-    return Sieve(base, frozenset())
-
-
-def principal_sieve(cat: FinCategory, obj: str) -> Sieve:
-    """The sieve of all arrows out of ``obj``; the unit element of its algebra."""
-    return Sieve(obj, frozenset(a.id for a in arrows_from(cat, obj)))
-
-
-def is_sieve(cat: FinCategory, base: str, arrow_ids: Iterable[str]) -> bool:
-    """True iff every member has domain ``base`` and post-composites stay inside."""
-    ids = set(arrow_ids)
-    for arrow_id in ids:
-        a = cat.arrow(arrow_id)  # raises UnknownArrow
-        if a.dom != base:
-            return False
-    for arrow_id in ids:
-        a = cat.arrows[arrow_id]
-        for g in arrows_from(cat, a.cod):
-            if cat.compose_ids(g.id, arrow_id) not in ids:
-                return False
-    return True
-
-
-def make_sieve(cat: FinCategory, base: str, arrow_ids: Iterable[str]) -> Sieve:
-    """Checked constructor; raises if the set is not a sieve on ``base``."""
-    ids = frozenset(arrow_ids)
-    if not is_sieve(cat, base, ids):
-        raise SieveLogicError(f"not a sieve on {base!r}: {sorted(ids)}")
-    return Sieve(base, ids)
 
 
 def _closure_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[int]]:
@@ -158,77 +132,6 @@ def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
     return _sieve_masks(cat, obj)[0]
 
 
-def _same_base(s1: Sieve, s2: Sieve) -> str:
-    if s1.base != s2.base:
-        raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
-    return s1.base
-
-
-def sieve_leq(s1: Sieve, s2: Sieve) -> bool:
-    _same_base(s1, s2)
-    return s1.members <= s2.members
-
-
-def sieve_meet(s1: Sieve, s2: Sieve) -> Sieve:
-    return Sieve(_same_base(s1, s2), s1.members & s2.members)
-
-
-def sieve_join(s1: Sieve, s2: Sieve) -> Sieve:
-    return Sieve(_same_base(s1, s2), s1.members | s2.members)
-
-
-def sieve_implies(cat: FinCategory, s1: Sieve, s2: Sieve) -> Sieve:
-    """Relative pseudo-complement: the largest sieve S with S meet s1 <= s2.
-
-    An arrow ``f: A -> B`` belongs iff every post-composite ``g after f``
-    that lands in ``s1`` also lands in ``s2``.
-    """
-    base = _same_base(s1, s2)
-    members = set()
-    for f in arrows_from(cat, base):
-        ok = True
-        for g in arrows_from(cat, f.cod):
-            gf = cat.compose_ids(g.id, f.id)
-            if gf in s1.members and gf not in s2.members:
-                ok = False
-                break
-        if ok:
-            members.add(f.id)
-    return Sieve(base, frozenset(members))
-
-
-def sieve_not(cat: FinCategory, s: Sieve) -> Sieve:
-    """Pseudo-complement: arrows none of whose post-composites land in ``s``."""
-    return sieve_implies(cat, s, empty_sieve(s.base))
-
-
-def push_sieve(cat: FinCategory, f: Arrow, s: Sieve) -> Sieve:
-    """Push a sieve on ``dom f`` forward to ``cod f``.
-
-    The result is ``{h out of cod f | h after f in s}``; when ``f`` itself
-    belongs to ``s`` this is the whole principal sieve on ``cod f``.
-    """
-    if cat.arrows.get(f.id) != f:
-        raise UnknownArrow(f"arrow {f.id!r} does not belong to this category")
-    if f.dom != s.base:
-        raise BaseMismatch(
-            f"arrow {f.id!r} starts at {f.dom!r} but the sieve is based at {s.base!r}"
-        )
-    members = frozenset(
-        h.id for h in arrows_from(cat, f.cod)
-        if cat.compose_ids(h.id, f.id) in s.members
-    )
-    return Sieve(f.cod, members)
-
-
-def codomain_view(cat: FinCategory, s: Sieve) -> frozenset[str]:
-    """The upper set of codomains a sieve selects, for thin categories only."""
-    endpoints = {(a.dom, a.cod) for a in cat.arrows.values()}
-    if len(endpoints) != len(cat.arrows):
-        raise NotAPoset("codomain view requires a thin category")
-    return frozenset(cat.arrows[m].cod for m in s.members)
-
-
 # ---------------------------------------------------------------------------
 # Finite topologies and Heyting-algebra tables
 
@@ -240,7 +143,8 @@ class FiniteTopology(NamedTuple):
 
 def _topology_defect(pts: frozenset, fam: frozenset) -> str | None:
     """The first topology law the family of opens ``fam`` breaks, with a
-    witness, or None; opens are visited in ``_set_key`` order."""
+    witness, or None; opens are visited in ``_set_key`` order, and pairs
+    of opens are joined and met as bit masks over the points."""
     opens = sorted(fam, key=_set_key)
     for o in opens:
         if not o <= pts:
@@ -249,12 +153,15 @@ def _topology_defect(pts: frozenset, fam: frozenset) -> str | None:
         return "the empty set is not open"
     if pts not in fam:
         return "the full point set is not open"
-    for i, o1 in enumerate(opens):
-        for o2 in opens[i:]:
-            if o1 | o2 not in fam:
-                return f"not closed under union: {sorted(o1)} | {sorted(o2)}"
-            if o1 & o2 not in fam:
-                return f"not closed under intersection: {sorted(o1)} & {sorted(o2)}"
+    bit = {p: 1 << i for i, p in enumerate(pts)}
+    masks = [sum(map(bit.__getitem__, o)) for o in opens]
+    known = set(masks)
+    for i, m1 in enumerate(masks):
+        for j, m2 in enumerate(masks[i:], i):
+            if m1 | m2 not in known:
+                return f"not closed under union: {sorted(opens[i])} | {sorted(opens[j])}"
+            if m1 & m2 not in known:
+                return f"not closed under intersection: {sorted(opens[i])} & {sorted(opens[j])}"
     return None
 
 
@@ -421,92 +328,6 @@ def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
     sieves, masks, ext = _sieve_masks(cat, obj)
     _check_table_size(f"object {obj!r}", len(sieves))
     return _mask_table(sieves, masks, ext)
-
-
-def validate_heyting_table(table: HeytingAlgebraTable) -> Check:
-    """Exhaustively check the distributive-lattice laws, the bounds, the
-    Heyting adjunction and ``neg x = x => 0``. The witness names the first
-    failing law and its elements.
-
-    The three-element laws compare whole rows: for each pair ``(x, y)``
-    each side is one row over ``z``, read by an ``itemgetter`` of another
-    row (``by[s](r)`` is the row ``z -> r[s[z]]``), and the elements are
-    named one ``z`` at a time only once a pair fails. (In a one-element
-    table an ``itemgetter`` returns a bare index, so its single pair
-    always takes the one-``z``-at-a-time path.)
-    """
-    els = table.elements
-    n = len(els)
-    meet, join, imp, neg = table.meet_rows, table.join_rows, table.implies_rows, table.not_row
-    zero, one = table.zero_index, table.one_index
-    leq = [tuple(k == one for k in row) for row in imp]
-
-    for x in range(n):
-        ex = els[x]
-        if not leq[zero][x]:
-            return Check(False, f"zero not below {ex!r}")
-        if not leq[x][one]:
-            return Check(False, f"{ex!r} not below one")
-        if neg[x] != imp[x][zero]:
-            return Check(False, f"neg {ex!r} differs from {ex!r} => zero")
-        if not leq[x][x]:
-            return Check(False, f"leq not reflexive at {ex!r}")
-        if meet[x][x] != x or join[x][x] != x:
-            return Check(False, f"idempotence fails at {ex!r}")
-    for x in range(n):
-        for y in range(n):
-            ex, ey = els[x], els[y]
-            if leq[x][y] and leq[y][x] and x != y:
-                return Check(False, f"leq not antisymmetric on {ex!r}, {ey!r}")
-            if leq[x][y] != (meet[x][y] == x):
-                return Check(False, f"leq/meet disagree on {ex!r}, {ey!r}")
-            if leq[x][y] != (join[x][y] == y):
-                return Check(False, f"leq/join disagree on {ex!r}, {ey!r}")
-            if meet[x][y] != meet[y][x] or join[x][y] != join[y][x]:
-                return Check(False, f"commutativity fails on {ex!r}, {ey!r}")
-            if meet[x][join[x][y]] != x or join[x][meet[x][y]] != x:
-                return Check(False, f"absorption fails on {ex!r}, {ey!r}")
-    # Once the pair laws hold, x <= y <= z with x not below z makes
-    # meet(meet(x, y), z) = meet(x, z) differ from meet(x, meet(y, z)) = x,
-    # so the meet-associativity rows also catch every transitivity failure.
-    by_meet, by_join, by_imp = ([itemgetter(*row) for row in rows] for rows in (meet, join, imp))
-    for x in range(n):
-        mx, jx, lx = meet[x], join[x], leq[x]
-        for y in range(n):
-            mxy, jxy = mx[y], jx[y]
-            if (
-                meet[mxy] != by_meet[y](mx)
-                or join[jxy] != by_join[y](jx)
-                or by_join[y](mx) != by_meet[x](join[mxy])
-                or by_meet[y](jx) != by_join[x](meet[jxy])
-                or by_imp[y](lx) != leq[mxy]
-            ):
-                witness = _triple_witness(table, leq, x, y)
-                if witness:
-                    return Check(False, witness)
-    return Check(True)
-
-
-def _triple_witness(table: HeytingAlgebraTable, leq: list, x: int, y: int) -> str | None:
-    """The first three-element law to fail on ``(x, y, z)``, over ``z`` in order."""
-    els = table.elements
-    meet, join, imp = table.meet_rows, table.join_rows, table.implies_rows
-    for z in range(len(els)):
-        on = f"{els[x]!r}, {els[y]!r}, {els[z]!r}"
-        if leq[x][y] and leq[y][z] and not leq[x][z]:
-            return f"transitivity fails on {on}"
-        if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
-            return f"meet associativity fails on {on}"
-        if join[join[x][y]][z] != join[x][join[y][z]]:
-            return f"join associativity fails on {on}"
-        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-            return f"distributivity fails on {on}"
-        if join[x][meet[y][z]] != meet[join[x][y]][join[x][z]]:
-            return f"dual distributivity fails on {on}"
-        # The adjunction s <= (s1 => s2) iff s meet s1 <= s2.
-        if leq[x][imp[y][z]] != leq[meet[x][y]][z]:
-            return f"adjunction fails on {on}"
-    return None
 
 
 def excluded_middle_violations(table: HeytingAlgebraTable) -> tuple:

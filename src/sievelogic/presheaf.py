@@ -6,23 +6,31 @@ equality only; any further meaning (projectors, eigenvalues) lives in the
 quantum layer. The covariant convention is used throughout: all arrow
 maps push forward.
 
-The module provides the sieve-valued subobject classifier, characteristic
-arrows and their converse, and three deterministic searches on one
-forward-checking engine over int bitmask domains: global sections, and
-the guarded enumerations of subobjects and natural transformations. Each
-compiles the arrow maps into constraints, so a value chosen for one
-variable narrows the domains of the variables it is linked to.
+The module holds the global-section search, on one forward-checking
+engine over int bitmask domains that compiles the arrow maps into
+constraints, so a value chosen for one variable narrows the domains of
+the variables it is linked to. The library-only rest lives in ``topos``
+and resolves here on first access: construction and the functor-law
+check, the sieve-valued subobject classifier, natural transformations,
+subobjects and characteristic arrows, and the guarded enumerations of
+subobjects and transformations on the same engine.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import SieveLogicError, SizeLimitExceeded
-from .fincat import Check, FinCategory, arrows_from
-from .heyting import Sieve, all_sieves, principal_sieve, push_sieve
+from .errors import SieveLogicError, SizeLimitExceeded, lazy_names
+from .fincat import FinCategory
+from .heyting import Sieve
+
+__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+    "NaturalTransformation", "Subobject", "characteristic_arrow", "check_global_section",
+    "enumerate_natural_transformations", "enumerate_subobjects", "global_sections",
+    "is_natural", "make_presheaf", "omega_presheaf", "subobject_from_arrow",
+    "subobject_from_family", "terminal_presheaf", "validate_presheaf", "validate_subobject",
+), "topos"))
 
 
 class ComponentDomainMismatch(SieveLogicError):
@@ -71,233 +79,10 @@ class Presheaf(NamedTuple):
         return self.arrow_maps[arrow_id]
 
 
-def make_presheaf(
-    cat: FinCategory,
-    object_sets: Mapping[str, Iterable],
-    arrow_maps: Mapping[str, Mapping],
-) -> Presheaf:
-    return Presheaf(
-        cat,
-        {obj: frozenset(els) for obj, els in object_sets.items()},
-        {aid: dict(m) for aid, m in arrow_maps.items()},
-    )
-
-
-def validate_presheaf(x: Presheaf) -> Check:
-    """Diagnostic functor-law check: identities act as identities and the
-    map of a composite is the composite of the maps. Never raises; the
-    witness names the first offending arrow (pair)."""
-    cat = x.cat
-    for obj in cat.objects:
-        if obj not in x.object_sets:
-            return Check(False, f"no element set for object {obj!r}")
-    for a in cat.arrows.values():
-        m = x.arrow_maps.get(a.id)
-        if m is None:
-            return Check(False, f"no map for arrow {a.id!r}")
-        if set(m.keys()) != set(x.object_sets[a.dom]):
-            return Check(False, f"map of {a.id!r} is not total on its domain")
-        for v in m.values():
-            if v not in x.object_sets[a.cod]:
-                return Check(False, f"map of {a.id!r} leaves its codomain")
-    for obj, iid in cat.identities.items():
-        m = x.arrow_maps[iid]
-        for e in x.object_sets[obj]:
-            if m[e] != e:
-                return Check(False, f"identity law fails at {obj!r} on {e!r}")
-    for (f_id, g_id), h_id in cat.composition.items():
-        mf, mg, mh = x.arrow_maps[f_id], x.arrow_maps[g_id], x.arrow_maps[h_id]
-        for e in x.object_sets[cat.arrows[g_id].dom]:
-            if mf[mg[e]] != mh[e]:
-                return Check(
-                    False, f"composition law fails for {f_id!r} after {g_id!r} on {e!r}"
-                )
-    return Check(True)
-
-
-def terminal_presheaf(cat: FinCategory) -> Presheaf:
-    """The terminal presheaf: a singleton at every object."""
-    star = "*"
-    return Presheaf(
-        cat,
-        {obj: frozenset((star,)) for obj in cat.objects},
-        {aid: {star: star} for aid in cat.arrows},
-    )
-
-
-def omega_presheaf(cat: FinCategory) -> Presheaf:
-    """The subobject classifier: all sieves per object, arrows push forward."""
-    sets = {obj: all_sieves(cat, obj) for obj in cat.objects}
-    maps = {}
-    for a in cat.arrows.values():
-        maps[a.id] = {s: push_sieve(cat, a, s) for s in sets[a.dom]}
-    return Presheaf(cat, {obj: frozenset(sv) for obj, sv in sets.items()}, maps)
-
-
-class NaturalTransformation(NamedTuple):
-    source: Presheaf
-    target: Presheaf
-    components: dict[str, dict]
-
-
-def is_natural(nt: NaturalTransformation) -> Check:
-    """True iff every square commutes; the witness names the failing arrow."""
-    x, y = nt.source, nt.target
-    if x.cat is not y.cat and x.cat.arrows != y.cat.arrows:
-        raise ComponentDomainMismatch("source and target live on different categories")
-    for obj in x.cat.objects:
-        comp = nt.components.get(obj)
-        if comp is None or set(comp.keys()) != set(x.object_sets[obj]):
-            raise ComponentDomainMismatch(
-                f"component at {obj!r} is not a total map on the source set"
-            )
-        for v in comp.values():
-            if v not in y.object_sets[obj]:
-                raise ComponentDomainMismatch(
-                    f"component at {obj!r} does not land in the target set"
-                )
-    for a in x.cat.arrows.values():
-        n_dom, n_cod = nt.components[a.dom], nt.components[a.cod]
-        xm, ym = x.arrow_maps[a.id], y.arrow_maps[a.id]
-        for e in x.object_sets[a.dom]:
-            if ym[n_dom[e]] != n_cod[xm[e]]:
-                return Check(False, a.id)
-    return Check(True)
-
-
-class Subobject(NamedTuple):
-    """A per-object subset family ``sub`` of ``parent`` closed under the maps."""
-
-    sub: Presheaf
-    parent: Presheaf
-
-
-def validate_subobject(s: Subobject) -> Check:
-    x, k = s.parent, s.sub
-    for obj in x.cat.objects:
-        if not k.object_sets.get(obj, frozenset()) <= x.object_sets[obj]:
-            return Check(False, f"subset inclusion fails at {obj!r}")
-    for a in x.cat.arrows.values():
-        xm = x.arrow_maps[a.id]
-        km = k.arrow_maps.get(a.id, {})
-        for e in k.object_sets.get(a.dom, frozenset()):
-            if xm[e] not in k.object_sets.get(a.cod, frozenset()):
-                return Check(False, f"not closed under {a.id!r} at {e!r}")
-            if km.get(e) != xm[e]:
-                return Check(False, f"map of {a.id!r} is not the restriction at {e!r}")
-    return Check(True)
-
-
-def _restriction(parent: Presheaf, sets: dict[str, frozenset]) -> Subobject:
-    """The family ``sets`` with ``parent``'s maps restricted to it, unchecked."""
-    maps = {
-        aid: {e: m[e] for e in sets[parent.cat.arrows[aid].dom]}
-        for aid, m in parent.arrow_maps.items()
-    }
-    return Subobject(Presheaf(parent.cat, sets, maps), parent)
-
-
-def subobject_from_family(parent: Presheaf, family: Mapping[str, Iterable]) -> Subobject:
-    """Build a Subobject from per-object subsets, restricting the maps."""
-    s = _restriction(parent, {o: frozenset(family.get(o, ())) for o in parent.cat.objects})
-    check = validate_subobject(s)
-    if not check:
-        raise NotASubobject(check.witness)
-    return s
-
-
-def characteristic_arrow(
-    k: Subobject, omega: Presheaf | None = None
-) -> NaturalTransformation:
-    """The classifying arrow of a subobject: at stage ``A`` an element ``x``
-    is sent to the sieve of arrows pushing ``x`` into the subobject."""
-    check = validate_subobject(k)
-    if not check:
-        raise NotASubobject(check.witness)
-    x = k.parent
-    cat = x.cat
-    if omega is None:
-        omega = omega_presheaf(cat)
-    components: dict[str, dict] = {}
-    for obj in cat.objects:
-        comp = {}
-        for e in x.object_sets[obj]:
-            members = frozenset(
-                f.id for f in arrows_from(cat, obj)
-                if x.arrow_maps[f.id][e] in k.sub.object_sets[f.cod]
-            )
-            comp[e] = Sieve(obj, members)
-        components[obj] = comp
-    return NaturalTransformation(x, omega, components)
-
-
-def subobject_from_arrow(chi: NaturalTransformation) -> Subobject:
-    """The converse of the classifier: pull back the principal sieves."""
-    check = is_natural(chi)
-    if not check:
-        raise NotNatural(f"naturality fails at arrow {check.witness!r}")
-    x = chi.source
-    cat = x.cat
-    family = {
-        obj: frozenset(
-            e for e in x.object_sets[obj]
-            if chi.components[obj][e] == principal_sieve(cat, obj)
-        )
-        for obj in cat.objects
-    }
-    try:
-        return subobject_from_family(x, family)
-    except NotASubobject as exc:
-        raise NotNatural(
-            f"arrow does not classify a subobject (is the target the "
-            f"sieve classifier?): {exc}"
-        ) from None
-
-
-def enumerate_subobjects(
-    x: Presheaf, max_total_elements: int = DEFAULT_ENUM_LOG2
-) -> list[Subobject]:
-    """Every family of subsets closed under the arrow maps, exactly once,
-    in ascending bit-mask order per object (bit ``i`` is the ``i``-th
-    element in ``element_key`` order), the first object most significant.
-
-    Guarded: the product of ``2**|X(A)|`` over objects must stay at or
-    below ``2**max_total_elements``.
-    """
-    total = sum(len(x.object_sets[obj]) for obj in x.cat.objects)
-    if total > max_total_elements:
-        raise SizeLimitExceeded(
-            f"subobject enumeration over 2^{total} families exceeds "
-            f"the 2^{max_total_elements} guard",
-            2 ** max_total_elements,
-        )
-    # One out (0) / in (1) variable per element, each object's last element
-    # first; along every arrow an element in the family forces its image in,
-    # so every solution is closed.
-    els = {obj: sorted(x.object_sets[obj], key=element_key)[::-1] for obj in x.cat.objects}
-    var = {cell: v for v, cell in enumerate((o, e) for o in els for e in els[o])}
-    initial, links = _constraints([2] * len(var), [
-        (var[a.dom, e], var[a.cod, x.arrow_maps[a.id][e]], [0b11, 0b10])
-        for a in x.cat.arrows.values() for e in x.object_sets[a.dom]
-    ])
-    results = []
-    for values in _forward_check(initial, links, math.inf)[0]:
-        k = iter(values)  # each object's cells are contiguous
-        results.append(_restriction(x, {o: frozenset(e for e in els[o] if next(k)) for o in els}))
-    return results
-
-
 class GlobalSection(NamedTuple):
     """A choice of one element per object satisfying the matching condition."""
 
     choice: dict[str, object]
-
-
-def check_global_section(x: Presheaf, gs: GlobalSection) -> bool:
-    for a in x.cat.arrows.values():
-        if x.arrow_maps[a.id][gs.choice[a.dom]] != gs.choice[a.cod]:
-            return False
-    return all(gs.choice[obj] in x.object_sets[obj] for obj in x.cat.objects)
 
 
 class SectionSearchResult(NamedTuple):
@@ -458,57 +243,3 @@ def global_section_search(
         for values in solutions
     )
     return SectionSearchResult(sections, nodes, prunes, order)
-
-
-def global_sections(
-    x: Presheaf, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[GlobalSection]:
-    """Complete, duplicate-free list of global sections, deterministic order."""
-    return list(global_section_search(x, node_budget).sections)
-
-
-def enumerate_natural_transformations(
-    x: Presheaf, y: Presheaf, max_log2: float = DEFAULT_ENUM_LOG2
-) -> list[NaturalTransformation]:
-    """Exhaustive enumeration of arrows ``x -> y``, lexicographic by
-    component: objects in ``cat.objects`` order, then each object's source
-    elements and target values in ``element_key`` order.
-
-    Guarded by the product of ``|Y(A)| ** |X(A)|`` over objects staying at
-    or below ``2**max_log2``.
-    """
-    objs = x.cat.objects
-    x_els = {obj: sorted(x.object_sets[obj], key=element_key) for obj in objs}
-    y_els = {obj: sorted(y.object_sets[obj], key=element_key) for obj in objs}
-
-    bound = 0.0
-    for obj in objs:
-        nx, ny = len(x_els[obj]), len(y_els[obj])
-        if nx and ny == 0:
-            return []
-        if nx and ny > 1:
-            bound += nx * math.log2(ny)
-    if bound > max_log2:
-        raise SizeLimitExceeded(
-            f"transformation enumeration needs 2^{bound:.1f} candidates, "
-            f"over the 2^{max_log2} guard",
-            2 ** max_log2,
-        )
-    # One variable per source element, ranging over the target set; every
-    # arrow f (identities too) is a functional arc from (A, e) to
-    # (cod f, X(f)(e)) through Y(f).
-    var = {cell: v for v, cell in enumerate((obj, e) for obj in objs for e in x_els[obj])}
-    bits = {obj: {e: 1 << k for k, e in enumerate(els)} for obj, els in y_els.items()}
-    arcs = []
-    for a in x.cat.arrows.values():
-        xm, ym = x.arrow_maps[a.id], y.arrow_maps[a.id]
-        forward = [bits[a.cod].get(ym[v], 0) for v in y_els[a.dom]]
-        arcs.extend((var[a.dom, e], var[a.cod, xm[e]], forward) for e in x_els[a.dom])
-    initial, links = _constraints([len(y_els[obj]) for obj, _ in var], arcs)
-    results = []
-    for values in _forward_check(initial, links, math.inf)[0]:
-        k = iter(values)  # each object's cells are contiguous
-        results.append(NaturalTransformation(x, y, {
-            obj: {e: y_els[obj][next(k)] for e in x_els[obj]} for obj in objs
-        }))
-    return results

@@ -7,12 +7,13 @@ equality. Operators form a thin category: there is an arrow ``A -> B``
 precisely when some function on the spectrum of ``A`` carries its
 spectral data onto ``B``, and that function is then unique.
 
-On top of the category sit the two presheaves this package cares about --
-the dual presheaf (spectrum elements, restricted along arrows) whose
-missing global sections express the Kochen-Specker obstruction, and the
-coarse-graining presheaf of spectral subsets -- plus sieve-valued
-valuations, the functional-composition check, and the state-induced
-valuation.
+On top of the category sit the dual presheaf (spectrum elements,
+restricted along arrows), whose missing global sections express the
+Kochen-Specker obstruction, and the state-induced sieve valuation. The
+library-only rest lives in ``spectral`` and resolves here on first
+access: projector matrices and the exact verifier, spectral algebras,
+functions of an operator, the pairwise arrow test, the coarse-graining
+presheaf, whole valuations and the functional-composition check.
 
 States are stored unnormalized. A Born probability is read off the
 eigenvector overlaps: the squared overlaps of the state with the
@@ -26,40 +27,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Frozen, SieveLogicError, SizeLimitExceeded
+from .errors import Frozen, SieveLogicError, SizeLimitExceeded, lazy_names
 from .exact import (
-    QC,
-    IntVector,
-    Matrix,
-    Vector,
-    RationalLike,
-    as_fraction,
-    identity_matrix,
-    int_inner,
-    int_vector,
-    is_hermitian,
-    is_idempotent,
-    is_zero_matrix,
-    is_zero_vector,
-    mat_add,
-    mat_mul,
-    orthogonal,
-    vector,
-    zero_matrix,
+    IntVector, Matrix, RationalLike, Vector, as_fraction, int_inner, int_vector,
+    is_zero_vector, orthogonal, vector,
 )
-from .fincat import Check, FinCategory, UnknownObject, arrows_from, thin_category
-from .heyting import Sieve, push_sieve
-from .presheaf import (
-    GlobalSection,
-    NaturalTransformation,
-    Presheaf,
-    global_sections,
-    omega_presheaf,
-    DEFAULT_NODE_BUDGET,
-)
+from .fincat import FinCategory, UnknownObject, arrows_from, thin_category
+from .heyting import Sieve
+from .presheaf import Presheaf
+
+__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+    "SieveValuation", "SpectralAlgebra", "coarse_graining_presheaf", "find_arrow",
+    "func_check", "function_of", "ks_global_section_search", "nu_state_valuation",
+    "spectral_projector", "spectrum_subsets", "valuation_transformation",
+    "verify_spectral_operator",
+), "spectral"))
 
 
 class SpectralError(SieveLogicError):
@@ -110,6 +94,8 @@ class SpectralOperator:
     """
 
     def __init__(self, name: str, dim: int, spectrum: Sequence[Fraction], projectors):
+        from .spectral import _orthogonal_columns
+
         self.name, self.dim, self.spectrum = name, dim, tuple(spectrum)
         self.projectors: tuple[Matrix, ...] = tuple(projectors)
         self.vectors: tuple[tuple[IntVector, ...], ...] = tuple(
@@ -127,6 +113,8 @@ class SpectralOperator:
     def projectors(self) -> tuple[Matrix, ...]:
         """Each level's sum of v v-dagger / |v|^2 over its vectors, which
         are pairwise orthogonal: the projector onto their span."""
+        from .spectral import _projector
+
         return tuple(map(_projector, self.vectors))
 
     def __eq__(self, other):
@@ -137,45 +125,6 @@ class SpectralOperator:
 
     def __hash__(self):
         return hash((self.name, self.dim, self.spectrum))
-
-
-def _projector(vectors: Sequence[IntVector]) -> Matrix:
-    """The sum of v v-dagger / |v|^2 over pairwise-orthogonal Gaussian-integer
-    vectors, over their common denominator, one exact entry at a time."""
-    norms = [int_inner(v, v)[0] for v in vectors]
-    d = lcm(*norms)
-    terms = [(re, im, d // n) for (re, im), n in zip(vectors, norms)]
-    axis = range(len(terms[0][0]))
-    return tuple(
-        tuple(
-            QC(Fraction(sum(k * (a[i] * a[j] + b[i] * b[j]) for a, b, k in terms), d),
-               Fraction(sum(k * (b[i] * a[j] - a[i] * b[j]) for a, b, k in terms), d))
-            for j in axis
-        )
-        for i in axis
-    )
-
-
-def _orthogonal_columns(p: Matrix) -> tuple[IntVector, ...]:
-    """Pairwise-orthogonal Gaussian-integer vectors spanning the columns of
-    ``p``: fraction-free Gram-Schmidt, each residual divided by the gcd of
-    its entries and dropped when zero."""
-    basis: list[IntVector] = []
-    for column in zip(*p):
-        re, im = int_vector(column)
-        for u in basis:
-            x, y = int_inner(u, (re, im))
-            if x or y:
-                # n r - <u, r> u is orthogonal to u.
-                n = int_inner(u, u)[0]
-                re, im = (
-                    tuple(n * r - x * a + y * b for r, a, b in zip(re, *u)),
-                    tuple(n * r - x * b - y * a for r, a, b in zip(im, *u)),
-                )
-        g = gcd(*re, *im)
-        if g:
-            basis.append((tuple(r // g for r in re), tuple(r // g for r in im)))
-    return tuple(basis)
 
 
 class State(Frozen):
@@ -200,31 +149,6 @@ def make_state(entries: Iterable) -> State:
     if is_zero_vector(v):
         raise SpectralError("state vector must be nonzero")
     return State(v)
-
-
-def verify_spectral_operator(op: SpectralOperator) -> None:
-    """Exact verification of every SpectralOperator invariant."""
-    if len(op.spectrum) != len(set(op.spectrum)):
-        raise DuplicateEigenvalue(f"operator {op.name!r} repeats an eigenvalue")
-    for a, p in zip(op.spectrum, op.projectors):
-        if not is_hermitian(p):
-            raise SpectralError(f"operator {op.name!r}: projector of {a} not Hermitian")
-        if not is_idempotent(p):
-            raise NotOrthogonal(f"operator {op.name!r}: projector of {a} not idempotent")
-        if is_zero_matrix(p):
-            raise IncompleteBasis(f"operator {op.name!r}: projector of {a} is zero")
-    for i in range(len(op.projectors)):
-        for j in range(i + 1, len(op.projectors)):
-            if not is_zero_matrix(mat_mul(op.projectors[i], op.projectors[j])):
-                raise NotOrthogonal(
-                    f"operator {op.name!r}: projectors of {op.spectrum[i]} and "
-                    f"{op.spectrum[j]} are not orthogonal"
-                )
-    total = zero_matrix(op.dim)
-    for p in op.projectors:
-        total = mat_add(total, p)
-    if total != identity_matrix(op.dim):
-        raise IncompleteBasis(f"operator {op.name!r}: projectors do not sum to identity")
 
 
 def make_operator(
@@ -293,26 +217,6 @@ def _coarsening(op: SpectralOperator, name: str, spectrum, masks) -> SpectralOpe
     )
 
 
-def function_of(
-    op: SpectralOperator,
-    fn: Mapping[Fraction, RationalLike],
-    name: str | None = None,
-) -> SpectralOperator:
-    """Apply a total function on the spectrum: eigenvalues map through
-    ``fn`` and projectors of merged eigenvalues add up."""
-    masks: dict[Fraction, int] = {}
-    for i, a in enumerate(op.spectrum):
-        if a not in fn:
-            raise PartialFunction(
-                f"function is undefined on eigenvalue {a} of {op.name!r}"
-            )
-        b = as_fraction(fn[a])
-        masks[b] = masks.get(b, 0) | 1 << i
-    spectrum = tuple(sorted(masks))
-    name = name if name is not None else f"f({op.name})"
-    return _coarsening(op, name, spectrum, [masks[b] for b in spectrum])
-
-
 def _levels(op: SpectralOperator, delta: Iterable[RationalLike]) -> list[int]:
     """The indices in ``op.spectrum`` of the eigenvalues in ``delta``."""
     dset = frozenset(as_fraction(d) for d in delta)
@@ -322,14 +226,6 @@ def _levels(op: SpectralOperator, delta: Iterable[RationalLike]) -> list[int]:
     return [i for i, a in enumerate(op.spectrum) if a in dset]
 
 
-def spectral_projector(op: SpectralOperator, delta: Iterable[RationalLike]) -> Matrix:
-    """The projector onto the eigenspaces of the eigenvalues in ``delta``."""
-    total = zero_matrix(op.dim)
-    for i in _levels(op, delta):
-        total = mat_add(total, op.projectors[i])
-    return total
-
-
 def _subset_masks(n: int) -> list[int]:
     """Every mask over n levels, by size, then by the indices of its levels."""
     return sorted(range(1 << n), key=lambda m: (m.bit_count(), list(_bits(m))))
@@ -337,52 +233,6 @@ def _subset_masks(n: int) -> list[int]:
 
 def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def spectrum_subsets(op: SpectralOperator) -> tuple[frozenset[Fraction], ...]:
-    """All subsets of the spectrum, ordered by size then by sorted values."""
-    return tuple(
-        frozenset(op.spectrum[i] for i in _bits(m)) for m in _subset_masks(len(op.spectrum))
-    )
-
-
-class SpectralAlgebra(NamedTuple):
-    """The Boolean algebra of spectral projectors of one operator, with the
-    Boolean operations acting on spectrum subsets."""
-
-    operator: SpectralOperator
-
-    def elements(self) -> tuple[frozenset[Fraction], ...]:
-        return spectrum_subsets(self.operator)
-
-    def projector(self, delta: Iterable[RationalLike]) -> Matrix:
-        return spectral_projector(self.operator, delta)
-
-    def meet(self, d1: frozenset, d2: frozenset) -> frozenset:
-        return d1 & d2
-
-    def join(self, d1: frozenset, d2: frozenset) -> frozenset:
-        return d1 | d2
-
-    def complement(self, d: frozenset) -> frozenset:
-        return frozenset(self.operator.spectrum) - d
-
-    def atoms(self) -> tuple[frozenset[Fraction], ...]:
-        return tuple(frozenset((a,)) for a in self.operator.spectrum)
-
-
-def find_arrow(
-    a_op: SpectralOperator, b_op: SpectralOperator
-) -> dict[Fraction, Fraction] | None:
-    """The unique spectrum function carrying ``a_op`` onto ``b_op``, if any:
-    it exists iff each eigenspace of ``a_op`` overlaps exactly one of
-    ``b_op``, its image."""
-    if a_op.dim != b_op.dim:
-        raise DimensionMismatch(
-            f"operators {a_op.name!r} and {b_op.name!r} have different dimensions"
-        )
-    image = _image(_overlaps(a_op, b_op))
-    return None if image is None else _function(a_op, b_op, image)
 
 
 def born_prob(
@@ -590,21 +440,6 @@ def dual_presheaf(ocat: OperatorCategory) -> Presheaf:
     return Presheaf(ocat.base, sets, {aid: ocat.arrow_function(aid) for aid in ocat.base.arrows})
 
 
-def coarse_graining_presheaf(ocat: OperatorCategory) -> Presheaf:
-    """Spectral subsets per object; an arrow sends a subset to its image.
-
-    Spectra are finite, so the image of a subset is just its pointwise
-    image; the measurability subtleties of the continuous case do not
-    arise here.
-    """
-    subsets = {name: spectrum_subsets(op) for name, op in ocat.operators.items()}
-    maps = {}
-    for a in ocat.base.arrows.values():
-        fn = ocat.arrow_function(a.id)
-        maps[a.id] = {s: frozenset(fn[v] for v in s) for s in subsets[a.dom]}
-    return Presheaf(ocat.base, {name: frozenset(s) for name, s in subsets.items()}, maps)
-
-
 def nu_state(
     ocat: OperatorCategory,
     state: State,
@@ -634,82 +469,3 @@ def nu_state(
         if {image[i] for i in live} <= {image[i] for i in levels}:
             members.add(arrow.id)
     return Sieve(name, frozenset(members))
-
-
-class SieveValuation(NamedTuple):
-    """A sieve per (context, spectral subset) pair."""
-
-    category: OperatorCategory
-    values: dict[tuple[str, frozenset], Sieve]
-
-    def value(self, name: str, delta: Iterable[RationalLike]) -> Sieve:
-        key = (name, frozenset(as_fraction(d) for d in delta))
-        try:
-            return self.values[key]
-        except KeyError:
-            raise IncompleteValuation(
-                f"valuation has no entry for {key[0]!r} at {sorted(key[1])}"
-            ) from None
-
-
-def nu_state_valuation(ocat: OperatorCategory, state: State) -> SieveValuation:
-    """The full state-induced valuation over every context and subset."""
-    values = {}
-    for name, op in ocat.operators.items():
-        for s in spectrum_subsets(op):
-            values[(name, s)] = nu_state(ocat, state, name, s)
-    return SieveValuation(ocat, values)
-
-
-def func_check(valuation: SieveValuation) -> Check:
-    """Generalized functional composition: pushing the value at (A, delta)
-    along any arrow must give the value at the coarse-grained proposition.
-    Equivalently the valuation's components form a natural transformation
-    from the coarse-graining presheaf to the sieve classifier."""
-    ocat = valuation.category
-    for name, op in ocat.operators.items():
-        for s in spectrum_subsets(op):
-            if (name, s) not in valuation.values:
-                raise IncompleteValuation(
-                    f"valuation missing {name!r} at {sorted(s)}"
-                )
-    for arrow in ocat.base.arrows.values():
-        fn = ocat.arrow_function(arrow.id)
-        for s in spectrum_subsets(ocat.operators[arrow.dom]):
-            image = frozenset(fn[v] for v in s)
-            lhs = valuation.values[(arrow.cod, image)]
-            rhs = push_sieve(ocat.base, arrow, valuation.values[(arrow.dom, s)])
-            if lhs != rhs:
-                return Check(
-                    False,
-                    f"arrow {arrow.id!r} at delta {{{','.join(map(str, sorted(s)))}}}",
-                )
-    return Check(True)
-
-
-def valuation_transformation(
-    valuation: SieveValuation,
-    coarse: Presheaf | None = None,
-    omega: Presheaf | None = None,
-):
-    """The components ``delta-projector -> sieve`` of a valuation, packaged
-    as a transformation from the coarse-graining presheaf to the classifier
-    (natural exactly when the valuation satisfies functional composition)."""
-    ocat = valuation.category
-    if coarse is None:
-        coarse = coarse_graining_presheaf(ocat)
-    if omega is None:
-        omega = omega_presheaf(ocat.base)
-    components = {
-        name: {s: valuation.value(name, s) for s in spectrum_subsets(op)}
-        for name, op in ocat.operators.items()
-    }
-    return NaturalTransformation(coarse, omega, components)
-
-
-def ks_global_section_search(
-    ocat: OperatorCategory, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[GlobalSection]:
-    """Global sections of the dual presheaf; an empty list certifies the
-    Kochen-Specker obstruction for this finite fragment."""
-    return global_sections(dual_presheaf(ocat), node_budget)

@@ -9,7 +9,8 @@ the ray colorings are plain bit twiddling, counted ray by ray or listed
 from every coloring.
 The state-induced sieve is recomputed one arrow at a time from the
 codomain's spectral projector, open-set implication is the union of every
-open that qualifies, and matrix products sum every term, zeros included.
+open that qualifies, a topology's laws are checked on frozensets pair by
+pair, and matrix products sum every term, zeros included.
 Heyting report fields are rendered, and the Heyting laws checked, through
 a table's pair-keyed views, one cell and one element lookup at a time.
 A thin category's composites are read off its arrows' endpoints, one
@@ -298,6 +299,27 @@ def subset_filter_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
             found.append(Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1)))
     found.sort(key=lambda sv: sv.sorted_members())
     return tuple(found)
+
+
+def set_topology_defect(pts: frozenset, fam: frozenset) -> str | None:
+    """The first topology law ``fam`` breaks, with the witness of
+    ``heyting._topology_defect``, found by frozenset unions and
+    intersections over every pair of opens in ``_set_key`` order."""
+    opens = sorted(fam, key=lambda o: (len(o), tuple(sorted(o))))
+    for o in opens:
+        if not o <= pts:
+            return f"open set {sorted(o)} is not a subset of the points"
+    if frozenset() not in fam:
+        return "the empty set is not open"
+    if pts not in fam:
+        return "the full point set is not open"
+    for i, o1 in enumerate(opens):
+        for o2 in opens[i:]:
+            if o1 | o2 not in fam:
+                return f"not closed under union: {sorted(o1)} | {sorted(o2)}"
+            if o1 & o2 not in fam:
+                return f"not closed under intersection: {sorted(o1)} & {sorted(o2)}"
+    return None
 
 
 def union_implies(topology: FiniteTopology, o1: frozenset, o2: frozenset) -> frozenset:

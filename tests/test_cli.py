@@ -162,6 +162,19 @@ def test_missing_file_is_parse_failure():
     assert code == 2
 
 
+def test_path_is_read_as_given(tmp_path):
+    # The path is opened as typed: a trailing slash after a file is no
+    # directory, and an empty path names no file.
+    good = tmp_path / "z.scn"
+    good.write_text("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE -1 : (0,1)\n")
+    code, out = run_cli("validate", f"{good}/", "--format", "record")
+    assert code == 2
+    assert record_dict(out)["detail"] == f"line 0, column 0: cannot read {good}/: Not a directory"
+    code, out = run_cli("validate", "", "--format", "record")
+    assert code == 2
+    assert record_dict(out)["detail"] == "line 0, column 0: no such file: "
+
+
 def test_directory_is_parse_failure(tmp_path):
     code, out = run_cli("validate", str(tmp_path), "--format", "record")
     assert code == 2
@@ -377,6 +390,25 @@ def test_heyting_table_guard_exits_3(tmp_path):
     assert rd["detail"] == (
         "heyting table: object 'D' has 2049 elements, so 4198401 table cells, "
         "over the guard of 1048576"
+    )
+    assert rd["guard"] == "1048576"
+
+
+def test_heyting_table_guard_exits_3_on_a_chain_topology(tmp_path):
+    # 1,025 nested opens pass make_topology's laws on bit masks in well
+    # under a second, then trip the table guard: 1,050,625 cells.
+    points = [f"p{i}" for i in range(1024)]
+    lines = ["POINTS " + " ".join(points)]
+    lines.extend("OPEN " + " ".join(points[:k]) for k in range(len(points) + 1))
+    path = tmp_path / "chain1024.top"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("heyting", str(path), "--format", "record")
+    assert code == 3
+    rd = record_dict(out)
+    assert rd["error"] == "SizeLimitExceeded"
+    assert rd["detail"] == (
+        "heyting table: topology on 1024 points has 1025 elements, so 1050625 "
+        "table cells, over the guard of 1048576"
     )
     assert rd["guard"] == "1048576"
 
@@ -696,13 +728,38 @@ def test_mermin_star_has_no_section(mermin_path):
 
 # --- process start-up and exit ------------------------------------------------
 
-def test_import_loads_no_dataclasses_or_inspect():
+COLD_MODULES = ("sievelogic.spectral", "sievelogic.topos")
+
+
+def test_import_loads_no_dataclasses_inspect_pathlib_or_cold_module():
     # Every report is one process, and importing dataclasses (which pulls
-    # in inspect, ast, dis and tokenize) would cost each one about 17 ms.
+    # in inspect, ast, dis and tokenize) would cost each one about 17 ms,
+    # pathlib about 5 ms, and the library-only modules their compile time.
     # -S keeps site's own imports out of sys.modules.
+    unwanted = {"dataclasses", "inspect", "pathlib", *COLD_MODULES}
     done = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, sievelogic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         f"import sys, sievelogic.cli; print(sorted({unwanted!r} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_reports_load_no_cold_module(exit_path_inputs, cabello_queries):
+    # One report of each kind in a fresh interpreter, through cli.main.
+    reports = [
+        ["category", SIGMA_Z], ["valuate", cabello_queries], ["ks-search", SIGMA_Z],
+        ["heyting", exit_path_inputs["contexts2"]], ["heyting", VPOSET_TOP],
+    ]
+    script = (
+        "import io, sys, contextlib, sievelogic.cli as cli\n"
+        f"for argv in {reports!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"print(sorted({set(COLD_MODULES)!r} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"

@@ -20,6 +20,7 @@ from sievelogic.heyting import (
     HeytingAlgebraTable,
     NotATopology,
     Sieve,
+    _topology_defect,
     all_sieves,
     codomain_view,
     empty_sieve,
@@ -43,6 +44,7 @@ from conftest import ALL_CATEGORY_FIXTURES, idempotent_fork
 from oracles import (
     dict_validate_heyting_table,
     power_set_sieves,
+    set_topology_defect,
     subset_filter_sieves,
     union_implies,
 )
@@ -417,6 +419,30 @@ def test_open_set_heyting_names_the_broken_law(opens, witness):
     with pytest.raises(NotATopology) as exc:
         make_topology("abc", opens)
     assert str(exc.value) == witness
+
+
+# Families of opens over at most five points, a sixth point name allowed in
+# an open as a stray point.
+_FAMILIES = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(frozenset(f"p{i}" for i in range(n))),
+    st.frozensets(st.frozensets(st.sampled_from([f"p{i}" for i in range(n + 1)]), max_size=n),
+                  max_size=12),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAMILIES)
+def test_topology_defect_matches_set_reference(family):
+    pts, fam = family
+    assert _topology_defect(pts, fam) == set_topology_defect(pts, fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FAMILIES.map(lambda f: (f[0], f[1] | {frozenset(), f[0]})))
+def test_topology_defect_matches_set_reference_with_bounds(family):
+    # With the empty and full sets always open, the pair laws decide.
+    pts, fam = family
+    assert _topology_defect(pts, fam) == set_topology_defect(pts, fam)
 
 
 # --- the mask kernel against the per-pair reference ---------------------------

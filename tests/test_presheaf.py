@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sievelogic import presheaf
+from sievelogic import topos
 from sievelogic.errors import SizeLimitExceeded
 from sievelogic.heyting import Sieve, is_sieve, principal_sieve
 from sievelogic.fincat import Arrow, Check, build_category, poset_to_category
 from sievelogic.presheaf import (
-    Check as PresheafCheck,
     ComponentDomainMismatch,
     NaturalTransformation,
     NotASubobject,
@@ -203,7 +202,6 @@ def test_characteristic_chain_example(chain2):
 
 
 def test_validate_subobject_returns_check(chain2):
-    assert PresheafCheck is Check
     x = arrow_fixture(chain2)
     assert validate_subobject(subobject_from_family(x, {"q": ["y"]})) == Check(True)
     # x lies in the family but its image y does not: not closed under p->q.
@@ -561,8 +559,8 @@ def test_subobject_enumeration_needs_no_validation(request, monkeypatch, name):
     def forbidden(*args):
         raise AssertionError("enumerate_subobjects validated a family")
 
-    monkeypatch.setattr(presheaf, "validate_subobject", forbidden)
-    monkeypatch.setattr(presheaf, "subobject_from_family", forbidden)
+    monkeypatch.setattr(topos, "validate_subobject", forbidden)
+    monkeypatch.setattr(topos, "subobject_from_family", forbidden)
     found = [enumerate_subobjects(x) for x in (terminal_presheaf(cat), omega_presheaf(cat))]
     monkeypatch.undo()
     assert len(found[0]) >= 2 and len(found[1]) >= 2
