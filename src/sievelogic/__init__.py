@@ -9,7 +9,7 @@ valuations) plus a CLI over scenario files.
 
 Reports import only the modules that hold code a report can reach; the
 library-only rest lives in ``topos`` and ``spectral``. Every name below is
-imported when first read, from the module that defines it.
+imported when first read, from the report module that lists it.
 """
 
 from .errors import lazy_names
@@ -35,35 +35,35 @@ __all__ = [
 ]
 __version__ = "0.1.0"
 
-# The module that defines each name of ``__all__``; a submodule names itself.
+# The module each name of ``__all__`` is read from (a submodule names itself);
+# a library-only name resolves on through that module's own table.
 _HOMES = {
     **{name: name for name in ("errors", "exact", "fincat", "heyting", "presheaf", "quantum")},
     **dict.fromkeys(("SieveLogicError", "SizeLimitExceeded"), "errors"),
-    **dict.fromkeys(("Arrow", "FinCategory", "ObjectId", "arrows_from"), "fincat"),
     **dict.fromkeys((
-        "FiniteTopology", "HeytingAlgebraTable", "Sieve", "all_sieves",
-        "excluded_middle_violations", "make_topology", "open_set_heyting", "sieve_algebra",
+        "Arrow", "FinCategory", "ObjectId", "arrows_from", "build_category", "compose",
+        "poset_to_category",
+    ), "fincat"),
+    **dict.fromkeys((
+        "FiniteTopology", "HeytingAlgebraTable", "Sieve", "all_sieves", "codomain_view",
+        "empty_sieve", "excluded_middle_violations", "is_sieve", "make_sieve", "make_topology",
+        "open_set_heyting", "principal_sieve", "push_sieve", "sieve_algebra", "sieve_implies",
+        "sieve_join", "sieve_leq", "sieve_meet", "sieve_not", "validate_heyting_table",
     ), "heyting"),
-    **dict.fromkeys(("GlobalSection", "Presheaf", "global_section_search"), "presheaf"),
     **dict.fromkeys((
-        "OperatorCategory", "SpectralOperator", "State", "born_prob",
-        "build_operator_category", "dual_presheaf", "make_operator", "make_state", "nu_state",
+        "GlobalSection", "NaturalTransformation", "Presheaf", "Subobject", "characteristic_arrow",
+        "check_global_section", "enumerate_natural_transformations", "enumerate_subobjects",
+        "global_section_search", "global_sections", "is_natural", "make_presheaf",
+        "omega_presheaf", "subobject_from_arrow", "subobject_from_family", "terminal_presheaf",
+        "validate_presheaf",
+    ), "presheaf"),
+    **dict.fromkeys((
+        "OperatorCategory", "SieveValuation", "SpectralAlgebra", "SpectralOperator", "State",
+        "born_prob", "build_operator_category", "coarse_graining_presheaf", "dual_presheaf",
+        "find_arrow", "func_check", "function_of", "ks_global_section_search", "make_operator",
+        "make_state", "nu_state", "nu_state_valuation", "spectral_projector", "spectrum_subsets",
+        "valuation_transformation", "verify_spectral_operator",
     ), "quantum"),
-    **dict.fromkeys((
-        "NaturalTransformation", "Subobject", "build_category", "characteristic_arrow",
-        "check_global_section", "codomain_view", "compose", "empty_sieve", "is_natural",
-        "enumerate_natural_transformations", "enumerate_subobjects", "global_sections",
-        "is_sieve", "make_presheaf", "make_sieve", "omega_presheaf", "poset_to_category",
-        "principal_sieve", "push_sieve", "sieve_implies", "sieve_join", "sieve_leq",
-        "sieve_meet", "sieve_not", "subobject_from_arrow", "subobject_from_family",
-        "terminal_presheaf", "validate_heyting_table", "validate_presheaf",
-    ), "topos"),
-    **dict.fromkeys((
-        "SieveValuation", "SpectralAlgebra", "coarse_graining_presheaf", "find_arrow",
-        "func_check", "function_of", "ks_global_section_search", "nu_state_valuation",
-        "spectral_projector", "spectrum_subsets", "valuation_transformation",
-        "verify_spectral_operator",
-    ), "spectral"),
 }
 
 __getattr__, __dir__ = lazy_names(globals(), _HOMES)

@@ -32,11 +32,11 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import Frozen, SieveLogicError, SizeLimitExceeded, lazy_names
 from .fincat import Arrow, FinCategory, arrows_from
 
-__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+__getattr__, __dir__ = lazy_names(globals(), {"Check": "fincat", **dict.fromkeys((
     "codomain_view", "empty_sieve", "is_sieve", "make_sieve", "principal_sieve",
     "push_sieve", "sieve_implies", "sieve_join", "sieve_leq", "sieve_meet",
     "sieve_not", "validate_heyting_table",
-), "topos"))
+), "topos")})
 
 
 class BaseMismatch(SieveLogicError):

@@ -25,12 +25,12 @@ from .errors import SieveLogicError, SizeLimitExceeded, lazy_names
 from .fincat import FinCategory
 from .heyting import Sieve
 
-__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+__getattr__, __dir__ = lazy_names(globals(), {"Check": "fincat", **dict.fromkeys((
     "NaturalTransformation", "Subobject", "characteristic_arrow", "check_global_section",
     "enumerate_natural_transformations", "enumerate_subobjects", "global_sections",
     "is_natural", "make_presheaf", "omega_presheaf", "subobject_from_arrow",
     "subobject_from_family", "terminal_presheaf", "validate_presheaf", "validate_subobject",
-), "topos"))
+), "topos")})
 
 
 class ComponentDomainMismatch(SieveLogicError):

@@ -38,12 +38,12 @@ from .fincat import FinCategory, UnknownObject, arrows_from, thin_category
 from .heyting import Sieve
 from .presheaf import Presheaf
 
-__getattr__, __dir__ = lazy_names(globals(), dict.fromkeys((
+__getattr__, __dir__ = lazy_names(globals(), {"Check": "fincat", **dict.fromkeys((
     "SieveValuation", "SpectralAlgebra", "coarse_graining_presheaf", "find_arrow",
     "func_check", "function_of", "ks_global_section_search", "nu_state_valuation",
     "spectral_projector", "spectrum_subsets", "valuation_transformation",
     "verify_spectral_operator",
-), "spectral"))
+), "spectral")})
 
 
 class SpectralError(SieveLogicError):

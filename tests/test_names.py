@@ -71,6 +71,12 @@ def test_moved_name_is_one_object(old, new, name):
         assert getattr(sievelogic, name) is value
 
 
+@pytest.mark.parametrize("where", ["heyting", "presheaf", "quantum"])
+def test_check_record_resolves_from_each_checking_module(where):
+    assert module(where).Check is module("fincat").Check is module("topos").Check
+    assert "Check" in dir(module(where))
+
+
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from sievelogic import *", namespace)

@@ -6,6 +6,7 @@ from sievelogic.errors import SizeLimitExceeded
 from sievelogic.heyting import Sieve, is_sieve, principal_sieve
 from sievelogic.fincat import Arrow, Check, build_category, poset_to_category
 from sievelogic.presheaf import (
+    Check as PresheafCheck,
     ComponentDomainMismatch,
     NaturalTransformation,
     NotASubobject,
@@ -202,6 +203,7 @@ def test_characteristic_chain_example(chain2):
 
 
 def test_validate_subobject_returns_check(chain2):
+    assert PresheafCheck is Check
     x = arrow_fixture(chain2)
     assert validate_subobject(subobject_from_family(x, {"q": ["y"]})) == Check(True)
     # x lies in the family but its image y does not: not closed under p->q.
