@@ -8,11 +8,9 @@ functions, the dual and coarse-graining presheaves, sieve-valued
 valuations) plus a CLI over scenario files.
 
 Reports import only the modules that hold code a report can reach; the
-library-only rest lives in ``topos`` and ``spectral``. Every name below is
-imported when first read, from the report module that lists it.
+library-only rest lives in ``topos`` and ``spectral``. Importing the
+package loads no submodule: every name below is imported when first read.
 """
-
-from .errors import lazy_names
 
 __all__ = [
     "Arrow", "FinCategory", "FiniteTopology", "GlobalSection", "HeytingAlgebraTable",
@@ -35,35 +33,22 @@ __all__ = [
 ]
 __version__ = "0.1.0"
 
-# The module each name of ``__all__`` is read from (a submodule names itself);
-# a library-only name resolves on through that module's own table.
-_HOMES = {
-    **{name: name for name in ("errors", "exact", "fincat", "heyting", "presheaf", "quantum")},
-    **dict.fromkeys(("SieveLogicError", "SizeLimitExceeded"), "errors"),
-    **dict.fromkeys((
-        "Arrow", "FinCategory", "ObjectId", "arrows_from", "build_category", "compose",
-        "poset_to_category",
-    ), "fincat"),
-    **dict.fromkeys((
-        "FiniteTopology", "HeytingAlgebraTable", "Sieve", "all_sieves", "codomain_view",
-        "empty_sieve", "excluded_middle_violations", "is_sieve", "make_sieve", "make_topology",
-        "open_set_heyting", "principal_sieve", "push_sieve", "sieve_algebra", "sieve_implies",
-        "sieve_join", "sieve_leq", "sieve_meet", "sieve_not", "validate_heyting_table",
-    ), "heyting"),
-    **dict.fromkeys((
-        "GlobalSection", "NaturalTransformation", "Presheaf", "Subobject", "characteristic_arrow",
-        "check_global_section", "enumerate_natural_transformations", "enumerate_subobjects",
-        "global_section_search", "global_sections", "is_natural", "make_presheaf",
-        "omega_presheaf", "subobject_from_arrow", "subobject_from_family", "terminal_presheaf",
-        "validate_presheaf",
-    ), "presheaf"),
-    **dict.fromkeys((
-        "OperatorCategory", "SieveValuation", "SpectralAlgebra", "SpectralOperator", "State",
-        "born_prob", "build_operator_category", "coarse_graining_presheaf", "dual_presheaf",
-        "find_arrow", "func_check", "function_of", "ks_global_section_search", "make_operator",
-        "make_state", "nu_state", "nu_state_valuation", "spectral_projector", "spectrum_subsets",
-        "valuation_transformation", "verify_spectral_operator",
-    ), "quantum"),
-}
+# The report modules, in import order; each name is read from the first that has it.
+_MODULES = ("errors", "exact", "fincat", "heyting", "presheaf", "quantum")
 
-__getattr__, __dir__ = lazy_names(globals(), _HOMES)
+
+def __getattr__(name: str):
+    """A name of ``__all__``, imported on first read and kept: a submodule's
+    name is the module, any other name goes through the module's own table."""
+    if name in __all__:
+        from importlib import import_module
+        for home in _MODULES:
+            module = import_module(f"{__name__}.{home}")
+            if home == name or name in dir(module):
+                value = globals()[name] = module if home == name else getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

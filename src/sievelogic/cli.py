@@ -58,7 +58,7 @@ def _render(pairs: Pairs, fmt: str, notes: tuple[str, ...] = ()) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}", 0, 0) from None

@@ -68,8 +68,7 @@ class Frozen:
 def lazy_names(namespace: dict, homes: dict[str, str]):
     """PEP 562 ``__getattr__`` and ``__dir__`` for the module whose globals
     are ``namespace``: a name in ``homes`` is imported on first read from
-    the sibling module it maps to (or is that module, if it maps to itself)
-    and kept there."""
+    the sibling module it maps to and kept there."""
 
     def __getattr__(name: str):
         home = homes.get(name)
@@ -77,7 +76,7 @@ def lazy_names(namespace: dict, homes: dict[str, str]):
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         from importlib import import_module
         module = import_module(f"{namespace['__package__']}.{home}")
-        value = namespace[name] = module if home == name else getattr(module, name)
+        value = namespace[name] = getattr(module, name)
         return value
 
     def __dir__() -> list[str]:

@@ -128,17 +128,20 @@ def test_repeated_query_eigenvalue_exits_2(tmp_path):
     assert rec["detail"] == "line 6, column 16: duplicate eigenvalue 1 in QUERY"
 
 
-def test_colliding_arrow_tokens_exit_1(tmp_path):
+def test_colliding_arrow_tokens_are_refused(tmp_path):
     # Equal eigenspaces make arrows both ways between 'a' and 'a->a', and
-    # both are named 'a->a->a'.
+    # both are named 'a->a->a': the library refuses the category, and a
+    # scenario file cannot name such an operator.
+    eigendata = [(0, [(1, 0)]), (1, [(0, 1)])]
+    ops = [quantum.make_operator(name, 2, eigendata) for name in ("a", "a->a")]
+    with pytest.raises(fincat.CategoryError, match="duplicate arrow token 'a->a->a'"):
+        quantum.build_operator_category(ops)
     path = tmp_path / "collide.scn"
     path.write_text("DIM 2\nOPERATOR a\nEIGENVALUE 0 : (1,0)\nEIGENVALUE 1 : (0,1)\n"
                     "OPERATOR a->a\nEIGENVALUE 0 : (1,0)\nEIGENVALUE 1 : (0,1)\n")
     code, out = run_cli("category", str(path), "--format", "record")
-    assert code == 1
-    rec = record_dict(out)
-    assert rec["error"] == "CategoryError"
-    assert rec["detail"] == "duplicate arrow token 'a->a->a'"
+    assert code == 2
+    assert record_dict(out)["detail"] == "line 5, column 10: operator name 'a->a' contains '->'"
 
 
 @pytest.mark.parametrize("fmt", ["human", "record"])

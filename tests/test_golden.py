@@ -16,6 +16,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -38,10 +40,10 @@ WORKLOAD_SUBCOMMAND = {
 }
 
 
-def _digests(group: str, inputs, commands) -> dict[str, str]:
-    """The digest of every report on ``inputs`` (``(seed, filename, text)``)
-    under each of ``commands``, in both formats, keyed by group, seed, file,
-    subcommand and format. Writes each input into the working directory."""
+def _reports(group: str, inputs, commands) -> dict[str, str]:
+    """Every report on ``inputs`` (``(seed, filename, text)``) under each of
+    ``commands``, in both formats, keyed by group, seed, file, subcommand and
+    format. Writes each input into the working directory."""
     out = {}
     for seed, name, text in inputs:
         Path(name).write_text(text, encoding="utf-8")
@@ -50,9 +52,16 @@ def _digests(group: str, inputs, commands) -> dict[str, str]:
                 buf = io.StringIO()
                 with redirect_stdout(buf):
                     main([command, name, "--format", fmt])
-                digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-                out[f"{group} {seed} {name} {command} {fmt}"] = digest
+                out[f"{group} {seed} {name} {command} {fmt}"] = buf.getvalue()
     return out
+
+
+def _digests(group: str, inputs, commands) -> dict[str, str]:
+    """The SHA-256 of each of ``_reports``."""
+    return {
+        key: hashlib.sha256(report.encode("utf-8")).hexdigest()
+        for key, report in _reports(group, inputs, commands).items()
+    }
 
 
 def _fixture_inputs() -> list[tuple[int, str, str]]:
@@ -74,6 +83,40 @@ def test_bench_reports(workload, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     digests = _digests(workload, bench_inputs(workload), [WORKLOAD_SUBCOMMAND[workload]])
     assert digests == _golden(workload)
+
+
+def _spread(rng: random.Random, text: str) -> str:
+    """``text`` with random blanks, spaces and tabs, before and after every
+    line and in place of every space."""
+    def blanks(least: int) -> str:
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+    return "".join(
+        blanks(0) + re.sub(" ", lambda _: blanks(1), line) + blanks(0) + "\n"
+        for line in text.splitlines()
+    )
+
+
+@pytest.mark.parametrize("group", ["fixtures", *sorted(WORKLOAD_SUBCOMMAND)])
+def test_reports_do_not_depend_on_blank_layout(group, tmp_path, monkeypatch):
+    """Every fixture under each subcommand, and every seed-1 bench input
+    under its workload's, rewritten with indentation and wider separators
+    under the same file name, gives the same bytes in both formats. Only a
+    parse error's column may differ: it moves with its line's blanks."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(group)
+    if group == "fixtures":
+        inputs, commands = _fixture_inputs(), SUBCOMMANDS
+    else:
+        inputs = [entry for entry in bench_inputs(group) if entry[0] == 1]
+        commands = [WORKLOAD_SUBCOMMAND[group]]
+    spread = [(seed, name, _spread(rng, text)) for seed, name, text in inputs]
+    assert all(new != old for (_, _, new), (_, _, old) in zip(spread, inputs))
+
+    def columnless(reports):
+        return {k: re.sub(r"(line \d+, column )\d+:", r"\1_:", v) for k, v in reports.items()}
+    assert columnless(_reports(group, spread, commands)) == columnless(
+        _reports(group, inputs, commands)
+    )
 
 
 if __name__ == "__main__":

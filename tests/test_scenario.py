@@ -169,11 +169,40 @@ def test_parse_error_carries_position():
         "STATE s1 (1,0)\nQUERY s1 z {1, x}\n",
         "line 6, column 16: not a rational: 'x'",
     ),
+    # The column is counted in the line as written: indentation and wider
+    # blanks move it, and a tab is one column.
+    ("DIM 2\nOPERATOR z\n    EIGENVALUE x : (0,1)\n", "line 3, column 16: not a rational: 'x'"),
+    ("DIM    0\n", "line 1, column 8: dimension must be positive"),
+    ("DIM 2\nOPERATOR  z  y\n", "line 2, column 11: OPERATOR needs a single name"),
+    ("  DIM 2\n\tDIM 2\n", "line 2, column 2: duplicate DIM"),
+    ("DIM 2\nOPERATOR z\n CLOSE maybe\n", "line 3, column 8: CLOSE must be 'on' or 'off'"),
+    ("DIM 2\nOPERATOR z\n  STATE  s  (1,0) (0,1)\n",
+     "line 3, column 13: STATE needs exactly one vector"),
+    ("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nSTATE\ts\t(1,0)\nQUERY\ts\tz\t{1,\tx}\n",
+     "line 5, column 15: not a rational: 'x'"),
+    # A missing field is one past the line's end.
+    ("DIM\n", "line 1, column 4: bad dimension ''"),
+    # A tab separates; it is never part of a name.
+    ("DIM 2\nOPERATOR a\tb\n", "line 2, column 10: OPERATOR needs a single name"),
+    # Integers are runs of ASCII digits.
+    ("DIM 1_0\n", "line 1, column 5: bad dimension '1_0'"),
+    ("DIM +2\n", "line 1, column 5: bad dimension '+2'"),
+    ("DIM 2\nOPERATOR z\nEIGENVALUE \u0663 : (1,0)\n", "line 3, column 12: not a rational: '\u0663'"),
+    ("DIM 2\nOPERATOR z\nEIGENVALUE 1 : (\u0663,0)\n",
+     "line 3, column 16: not a complex entry: '\u0663'"),
+    # Arrow tokens are 'p->q', so no operator name holds '->'.
+    ("DIM 2\nOPERATOR b->c\n", "line 2, column 10: operator name 'b->c' contains '->'"),
 ])
 def test_parse_error_column_is_the_token(text, detail):
     with pytest.raises(ParseError) as exc:
         parse_scenario(text)
     assert str(exc.value) == detail
+
+
+def test_tabs_and_runs_of_blanks_separate_like_one_space():
+    tabbed = ("\tDIM\t2\n  OPERATOR\t z\nEIGENVALUE\t1\t:\t(1,\t0)\nEIGENVALUE  -1 : (0, 1)  \n"
+              "STATE\tplus\t(1, 1)\nCLOSE \ton\nQUERY\tplus\tz\t{1,\t-1}\t\n")
+    assert parse_scenario(tabbed) == parse_scenario(GOOD)
 
 
 def test_validate_scenario_unknown_state():
@@ -236,6 +265,19 @@ def test_parse_topology_not_closed():
 def test_parse_topology_requires_points_first():
     with pytest.raises(ParseError, match="POINTS"):
         parse_topology("OPEN a\n")
+
+
+def test_parse_topology_reads_lines_as_written():
+    assert parse_topology("POINTS\ta  b\n OPEN\nOPEN\ta\nOPEN a\tb\n") == parse_topology(
+        "POINTS a b\nOPEN\nOPEN a\nOPEN a b\n"
+    )
+    for text, detail in [
+        ("  POINTS  a a\n", "line 1, column 11: duplicate point names"),
+        ("POINTS a\n\t\tPLACE a\n", "line 2, column 3: unknown keyword 'PLACE'"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_topology(text)
+        assert str(exc.value) == detail
 
 
 def test_looks_like_topology():
