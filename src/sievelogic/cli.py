@@ -241,7 +241,7 @@ _COMMANDS = {
 
 
 def _budget(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
 

@@ -27,15 +27,15 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from operator import and_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import Frozen, SieveLogicError, SizeLimitExceeded, lazy_names
 from .fincat import Arrow, FinCategory, arrows_from
 
 __getattr__, __dir__ = lazy_names(globals(), {"Check": "fincat", **dict.fromkeys((
-    "codomain_view", "empty_sieve", "is_sieve", "make_sieve", "principal_sieve",
-    "push_sieve", "sieve_implies", "sieve_join", "sieve_leq", "sieve_meet",
-    "sieve_not", "validate_heyting_table",
+    "codomain_view", "empty_sieve", "is_sieve", "make_sieve", "make_topology",
+    "principal_sieve", "push_sieve", "sieve_implies", "sieve_join", "sieve_leq",
+    "sieve_meet", "sieve_not", "validate_heyting_table",
 ), "topos")})
 
 
@@ -139,40 +139,6 @@ def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
 class FiniteTopology(NamedTuple):
     points: frozenset[str]
     opens: frozenset[frozenset[str]]
-
-
-def _topology_defect(pts: frozenset, fam: frozenset) -> str | None:
-    """The first topology law the family of opens ``fam`` breaks, with a
-    witness, or None; opens are visited in ``_set_key`` order, and pairs
-    of opens are joined and met as bit masks over the points."""
-    opens = sorted(fam, key=_set_key)
-    for o in opens:
-        if not o <= pts:
-            return f"open set {sorted(o)} is not a subset of the points"
-    if frozenset() not in fam:
-        return "the empty set is not open"
-    if pts not in fam:
-        return "the full point set is not open"
-    bit = {p: 1 << i for i, p in enumerate(pts)}
-    masks = [sum(map(bit.__getitem__, o)) for o in opens]
-    known = set(masks)
-    for i, m1 in enumerate(masks):
-        for j, m2 in enumerate(masks[i:], i):
-            if m1 | m2 not in known:
-                return f"not closed under union: {sorted(opens[i])} | {sorted(opens[j])}"
-            if m1 & m2 not in known:
-                return f"not closed under intersection: {sorted(opens[i])} & {sorted(opens[j])}"
-    return None
-
-
-def make_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteTopology:
-    """Validate a finite family of opens; raises NotATopology with a witness."""
-    pts = frozenset(points)
-    fam = frozenset(frozenset(o) for o in opens)
-    defect = _topology_defect(pts, fam)
-    if defect is not None:
-        raise NotATopology(defect)
-    return FiniteTopology(pts, fam)
 
 
 class HeytingAlgebraTable(Frozen):
@@ -294,28 +260,45 @@ def _check_table_size(what: str, elements: int) -> None:
         )
 
 
+def _open_masks(points: frozenset, fam: frozenset) -> tuple[tuple, list[int]]:
+    """The opens of ``fam`` in ``_set_key`` order and their bit masks over
+    the sorted points. Raises NotATopology naming the first law broken: an
+    open outside the points, then the empty and the full set, then each
+    pair of opens in order, union before intersection."""
+    opens = tuple(sorted(fam, key=_set_key))
+    for o in opens:
+        if not o <= points:
+            raise NotATopology(f"open set {sorted(o)} is not a subset of the points")
+    bit = {p: 1 << i for i, p in enumerate(sorted(points))}
+    masks = [sum(map(bit.__getitem__, o)) for o in opens]
+    known = set(masks)
+    if 0 not in known:
+        raise NotATopology("the empty set is not open")
+    if (1 << len(points)) - 1 not in known:
+        raise NotATopology("the full point set is not open")
+    for i, (o1, m1) in enumerate(zip(opens, masks)):
+        for o2, m2 in zip(opens[i:], masks[i:]):
+            if m1 | m2 not in known:
+                raise NotATopology(f"not closed under union: {sorted(o1)} | {sorted(o2)}")
+            if m1 & m2 not in known:
+                raise NotATopology(f"not closed under intersection: {sorted(o1)} & {sorted(o2)}")
+    return opens, masks
+
+
 def open_set_heyting(topology: FiniteTopology) -> HeytingAlgebraTable:
     """The Heyting algebra of open sets: meet is intersection, join is union,
     negation is the interior of the complement.
 
-    Each open is a bit mask over the sorted points. ``o1 => o2`` is the
-    interior of ``(points - o1) | o2``: the points whose smallest open
-    neighbourhood (the meet of the opens around them) misses ``o1 - o2``.
-
-    The opens are not checked up front (``make_topology`` does that); a
-    family that is not a topology misses some mask, and only then is the
-    broken law looked up, to raise NotATopology with a witness.
+    Past the table guard, ``_open_masks`` checks the laws on the masks the
+    table is built from. ``o1 => o2`` is the interior of ``(points - o1) |
+    o2``: the points whose smallest open neighbourhood (the meet of the
+    opens around them) misses ``o1 - o2``.
     """
-    opens = tuple(sorted(topology.opens, key=_set_key))
-    _check_table_size(f"topology on {len(topology.points)} points", len(opens))
-    bits = [1 << i for i in range(len(topology.points))]
-    bit = dict(zip(sorted(topology.points), bits))
-    try:
-        masks = [sum(bit[p] for p in o) for o in opens]
-        nbhd = [reduce(and_, (m for m in masks if m & b), sum(bits)) for b in bits]
-        return _mask_table(opens, masks, nbhd)
-    except KeyError:
-        raise NotATopology(_topology_defect(topology.points, topology.opens)) from None
+    _check_table_size(f"topology on {len(topology.points)} points", len(topology.opens))
+    opens, masks = _open_masks(*topology)
+    n = len(topology.points)
+    nbhd = [reduce(and_, (m for m in masks if m >> i & 1), (1 << n) - 1) for i in range(n)]
+    return _mask_table(opens, masks, nbhd)
 
 
 def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import SieveLogicError, SizeLimitExceeded
 from .exact import QC, Vector, vector
-from .heyting import FiniteTopology, make_topology
+from .heyting import FiniteTopology
 from .quantum import (
     NotInSpectrum, OperatorCategory, SpectralOperator, State, build_operator_category,
     make_operator, make_state,
@@ -157,6 +157,13 @@ def _head(text: str) -> tuple[str, str]:
     return m.group(1), text[m.end():]
 
 
+def _check_name(kind: str, name: str, marks: tuple[str, ...], line_no: int, column: int) -> None:
+    """Names hold none of ``marks``: reports print '{a,b}' sets and 'p->q' arrows."""
+    for mark in marks:
+        if mark in name:
+            raise ParseError(f"{kind} name {name!r} contains {mark!r}", line_no, column)
+
+
 def _meaningful_lines(text: str):
     """Each line that is not blank or a comment: its number, the line as
     written less trailing blanks, its first token and the rest."""
@@ -190,8 +197,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError("DIM must precede OPERATOR", line_no, first)
             if not rest or _head(rest)[1]:
                 raise ParseError("OPERATOR needs a single name", line_no, at)
-            if "->" in rest:
-                raise ParseError(f"operator name {rest!r} contains '->'", line_no, at)
+            _check_name("operator", rest, ("->", ",", "{", "}"), line_no, at)
             if any(op.name == rest for op in operators):
                 raise ParseError(f"duplicate operator name {rest!r}", line_no, at)
             current = OperatorDecl(rest, [])
@@ -260,9 +266,11 @@ def parse_topology(text: str) -> FiniteTopology:
         if keyword == "POINTS":
             if points is not None:
                 raise ParseError("duplicate POINTS", line_no, _column(line, line))
-            points = _TOKEN_RE.findall(rest)
+            at, points = _column(line, rest), _TOKEN_RE.findall(rest)
+            for t in _TOKEN_RE.finditer(rest):
+                _check_name("point", t.group(), (",", "{", "}"), line_no, at + t.start())
             if len(set(points)) != len(points):
-                raise ParseError("duplicate point names", line_no, _column(line, rest))
+                raise ParseError("duplicate point names", line_no, at)
         elif keyword == "OPEN":
             if points is None:
                 raise ParseError("POINTS must precede OPEN", line_no, _column(line, line))
@@ -271,13 +279,11 @@ def parse_topology(text: str) -> FiniteTopology:
             raise ParseError(f"unknown keyword {keyword!r}", line_no, _column(line, line))
     if points is None:
         raise ParseError("missing POINTS", 1, 1)
-    return make_topology(points, opens)
+    return FiniteTopology(frozenset(points), frozenset(map(frozenset, opens)))
 
 
 def looks_like_topology(text: str) -> bool:
-    for _, _, keyword, _ in _meaningful_lines(text):
-        return keyword == "POINTS"
-    return False
+    return next((kw for _, _, kw, _ in _meaningful_lines(text)), "") in ("POINTS", "OPEN")
 
 
 def scenario_operators(scn: Scenario) -> list[SpectralOperator]:

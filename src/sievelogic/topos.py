@@ -2,8 +2,8 @@
 ``presheaf`` resolve these names on first read: the ``Check`` record,
 ``compose`` and the categories built and checked from a composition table
 or a poset; the per-pair sieve operations (the mask kernel's reference),
-pushforward, the codomain view and the Heyting-law check; presheaf
-construction and its law check, the classifier Omega, natural
+pushforward, the codomain view, the Heyting-law check and ``make_topology``;
+presheaf construction and its law check, the classifier Omega, natural
 transformations, subobjects, characteristic arrows both ways, and the
 guarded enumerations on the forward-checking engine of ``presheaf``.
 """
@@ -20,7 +20,9 @@ from .fincat import (
     IdentityLawViolation, MissingIdentity, NotAPoset, NotComposable, UnknownArrow, _tokens,
     arrows_from, thin_category,
 )
-from .heyting import BaseMismatch, HeytingAlgebraTable, Sieve, all_sieves
+from .heyting import (
+    BaseMismatch, FiniteTopology, HeytingAlgebraTable, Sieve, _open_masks, all_sieves,
+)
 from .presheaf import (
     DEFAULT_ENUM_LOG2, DEFAULT_NODE_BUDGET, ComponentDomainMismatch, GlobalSection,
     NotASubobject, NotNatural, Presheaf, _constraints, _forward_check, element_key,
@@ -354,6 +356,13 @@ def _triple_witness(table: HeytingAlgebraTable, leq: list, x: int, y: int) -> st
         if leq[x][imp[y][z]] != leq[meet[x][y]][z]:
             return f"adjunction fails on {on}"
     return None
+
+
+def make_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteTopology:
+    """Validate a finite family of opens; raises NotATopology with a witness."""
+    topology = FiniteTopology(frozenset(points), frozenset(map(frozenset, opens)))
+    _open_masks(*topology)
+    return topology
 
 
 def make_presheaf(

@@ -302,8 +302,8 @@ def subset_filter_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
 
 
 def set_topology_defect(pts: frozenset, fam: frozenset) -> str | None:
-    """The first topology law ``fam`` breaks, with the witness of
-    ``heyting._topology_defect``, found by frozenset unions and
+    """The first topology law ``fam`` breaks, with the witness that
+    ``heyting._open_masks`` raises, or None; found by frozenset unions and
     intersections over every pair of opens in ``_set_key`` order."""
     opens = sorted(fam, key=lambda o: (len(o), tuple(sorted(o))))
     for o in opens:

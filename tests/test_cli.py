@@ -397,15 +397,21 @@ def test_heyting_table_guard_exits_3(tmp_path):
     assert rd["guard"] == "1048576"
 
 
-def test_heyting_table_guard_exits_3_on_a_chain_topology(tmp_path):
-    # 1,025 nested opens pass make_topology's laws on bit masks in well
-    # under a second, then trip the table guard: 1,050,625 cells.
-    points = [f"p{i}" for i in range(1024)]
+def chain_topology(tmp_path, n, first=0):
+    """A file of n points whose opens are the first k points, for k from
+    ``first`` to n: a topology for first=0, none without the empty set."""
+    points = [f"p{i}" for i in range(n)]
     lines = ["POINTS " + " ".join(points)]
-    lines.extend("OPEN " + " ".join(points[:k]) for k in range(len(points) + 1))
-    path = tmp_path / "chain1024.top"
+    lines.extend("OPEN " + " ".join(points[:k]) for k in range(first, n + 1))
+    path = tmp_path / f"chain{n}.top"
     path.write_text("\n".join(lines) + "\n")
-    code, out = run_cli("heyting", str(path), "--format", "record")
+    return str(path)
+
+
+def test_heyting_table_guard_exits_3_on_a_chain_topology(tmp_path):
+    # 1,025 nested opens trip the table guard, 1,050,625 cells, before any
+    # topology law is checked.
+    code, out = run_cli("heyting", chain_topology(tmp_path, 1024), "--format", "record")
     assert code == 3
     rd = record_dict(out)
     assert rd["error"] == "SizeLimitExceeded"
@@ -416,12 +422,45 @@ def test_heyting_table_guard_exits_3_on_a_chain_topology(tmp_path):
     assert rd["guard"] == "1048576"
 
 
+def test_heyting_table_guard_comes_before_the_topology_laws(tmp_path, monkeypatch):
+    def refuse(points, opens):
+        raise AssertionError("topology laws checked past a tripped table guard")
+
+    path = chain_topology(tmp_path, 1024)
+    monkeypatch.setattr(heyting, "_open_masks", refuse)
+    assert run_cli("heyting", path, "--format", "record") == (3, (
+        f"command heyting\nscenario {path}\nerror SizeLimitExceeded\n"
+        "detail heyting table: topology on 1024 points has 1025 elements, so 1050625 "
+        "table cells, over the guard of 1048576\nguard 1048576\n"
+    ))
+
+
+def test_heyting_non_topology_over_the_table_guard_exits_3(tmp_path):
+    # 1,025 opens without the empty set: the guard trips before the laws.
+    code, out = run_cli("heyting", chain_topology(tmp_path, 1025, first=1), "--format", "record")
+    assert code == 3
+    assert record_dict(out)["detail"] == (
+        "heyting table: topology on 1025 points has 1025 elements, so 1050625 "
+        "table cells, over the guard of 1048576"
+    )
+
+
 @pytest.mark.parametrize("guard", ["0", "-5", "x"])
 def test_guard_below_one_rejected_at_parsing(guard, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("ks-search", SIGMA_Z, "--guard", guard)
     assert exc.value.code == 2
     assert "--guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guard", ["\u0663", "\uff13\uff10", "3\u0663"])
+def test_guard_takes_ascii_digits_only(guard, capsys):
+    # U+0663 (Arabic-Indic three) and U+FF13 U+FF10 (fullwidth 30) are
+    # decimal to str.isdecimal, but an integer is a run of ASCII digits.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("ks-search", SIGMA_Z, "--guard", guard)
+    assert exc.value.code == 2
+    assert f"--guard: must be an integer >= 1, got {guard!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "category", "valuate", "heyting"])
@@ -480,6 +519,29 @@ def test_heyting_scenario_v_shape(tmp_path):
     }
     assert "{A->B}" in violations
     assert "{A->C}" in violations
+
+
+def test_heyting_member_sets_print_apart(tmp_path):
+    # Point names hold no ',', '{' or '}', so '{a,b}' names one set only:
+    # the open {a,b} of three points, never the one point 'a,b'.
+    comma = tmp_path / "comma.top"
+    comma.write_text("POINTS a,b c\nOPEN\nOPEN a,b\nOPEN a,b c\n")
+    code, out = run_cli("heyting", str(comma), "--format", "record")
+    assert code == 2
+    assert record_dict(out)["detail"] == "line 1, column 8: point name 'a,b' contains ','"
+    three = tmp_path / "three.top"
+    three.write_text("POINTS a b c\nOPEN\nOPEN a b\nOPEN a b c\n")
+    code, out = run_cli("heyting", str(three), "--format", "record")
+    assert code == 0
+    assert record_dict(out)["topology.element.1"] == "{a,b}"
+
+
+def test_heyting_open_first_file_is_read_as_a_topology(tmp_path):
+    path = tmp_path / "open_first.top"
+    path.write_text("OPEN a\nPOINTS a\n")
+    code, out = run_cli("heyting", str(path), "--format", "record")
+    assert code == 2
+    assert record_dict(out)["detail"] == "line 1, column 1: POINTS must precede OPEN"
 
 
 def test_heyting_invalid_topology_exit(tmp_path):

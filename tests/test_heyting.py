@@ -20,7 +20,6 @@ from sievelogic.heyting import (
     HeytingAlgebraTable,
     NotATopology,
     Sieve,
-    _topology_defect,
     all_sieves,
     codomain_view,
     empty_sieve,
@@ -410,8 +409,8 @@ def test_not_a_topology_stray_point():
     ([["a"], ["a", "b", "c"]], "the empty set is not open"),
 ])
 def test_open_set_heyting_names_the_broken_law(opens, witness):
-    # A FiniteTopology built directly is never validated; the table misses
-    # a mask and names the same witness as make_topology.
+    # A FiniteTopology built directly is checked by open_set_heyting, which
+    # names the same witness as make_topology.
     topology = FiniteTopology(frozenset("abc"), frozenset(map(frozenset, opens)))
     with pytest.raises(NotATopology) as exc:
         open_set_heyting(topology)
@@ -430,11 +429,23 @@ _FAMILIES = st.integers(1, 5).flatmap(lambda n: st.tuples(
 ))
 
 
+def raised(build, *args):
+    """The text of the NotATopology ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except NotATopology as exc:
+        return str(exc)
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(_FAMILIES)
 def test_topology_defect_matches_set_reference(family):
+    # At most 12 opens, so open_set_heyting passes its table guard.
     pts, fam = family
-    assert _topology_defect(pts, fam) == set_topology_defect(pts, fam)
+    expected = set_topology_defect(pts, fam)
+    assert raised(make_topology, pts, fam) == expected
+    assert raised(open_set_heyting, FiniteTopology(pts, fam)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,7 +453,9 @@ def test_topology_defect_matches_set_reference(family):
 def test_topology_defect_matches_set_reference_with_bounds(family):
     # With the empty and full sets always open, the pair laws decide.
     pts, fam = family
-    assert _topology_defect(pts, fam) == set_topology_defect(pts, fam)
+    expected = set_topology_defect(pts, fam)
+    assert raised(make_topology, pts, fam) == expected
+    assert raised(open_set_heyting, FiniteTopology(pts, fam)) == expected
 
 
 # --- the mask kernel against the per-pair reference ---------------------------

@@ -19,9 +19,9 @@ import sievelogic
 MOVED = {
     "fincat": ("topos", ["Check", "build_category", "compose", "poset_to_category"]),
     "heyting": ("topos", [
-        "codomain_view", "empty_sieve", "is_sieve", "make_sieve", "principal_sieve",
-        "push_sieve", "sieve_implies", "sieve_join", "sieve_leq", "sieve_meet", "sieve_not",
-        "validate_heyting_table",
+        "codomain_view", "empty_sieve", "is_sieve", "make_sieve", "make_topology",
+        "principal_sieve", "push_sieve", "sieve_implies", "sieve_join", "sieve_leq",
+        "sieve_meet", "sieve_not", "validate_heyting_table",
     ]),
     "presheaf": ("topos", [
         "NaturalTransformation", "Subobject", "characteristic_arrow", "check_global_section",

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from sievelogic.exact import QC
-from sievelogic.heyting import NotATopology
+from sievelogic.heyting import NotATopology, open_set_heyting
 from sievelogic.quantum import NotInSpectrum, NotOrthogonal
 from sievelogic.scenario import (
     ParseError,
@@ -192,10 +192,18 @@ def test_parse_error_carries_position():
      "line 3, column 16: not a complex entry: '\u0663'"),
     # Arrow tokens are 'p->q', so no operator name holds '->'.
     ("DIM 2\nOPERATOR b->c\n", "line 2, column 10: operator name 'b->c' contains '->'"),
+    # Sets print as '{a,b}', so no operator or point name holds ',', '{' or '}'.
+    ("DIM 2\nOPERATOR b,c\n", "line 2, column 10: operator name 'b,c' contains ','"),
+    ("DIM 2\nOPERATOR {b\n", "line 2, column 10: operator name '{b' contains '{'"),
+    ("DIM 2\n OPERATOR b}\n", "line 2, column 11: operator name 'b}' contains '}'"),
+    ("POINTS a,b c\nOPEN\nOPEN a,b\nOPEN a,b c\n",
+     "line 1, column 8: point name 'a,b' contains ','"),
+    ("POINTS a\t{b\n", "line 1, column 10: point name '{b' contains '{'"),
+    ("  POINTS a  b  c}\n", "line 1, column 16: point name 'c}' contains '}'"),
 ])
 def test_parse_error_column_is_the_token(text, detail):
     with pytest.raises(ParseError) as exc:
-        parse_scenario(text)
+        (parse_topology if looks_like_topology(text) else parse_scenario)(text)
     assert str(exc.value) == detail
 
 
@@ -258,8 +266,12 @@ def test_parse_topology():
 
 
 def test_parse_topology_not_closed():
-    with pytest.raises(NotATopology):
-        parse_topology("POINTS a b c\nOPEN\nOPEN a\nOPEN b\nOPEN a b c\n")
+    # Parsing reads the syntax only; the laws are checked with the table.
+    top = parse_topology("POINTS a b c\nOPEN\nOPEN a\nOPEN b\nOPEN a b c\n")
+    assert top.opens == {frozenset(), frozenset("a"), frozenset("b"), frozenset("abc")}
+    with pytest.raises(NotATopology) as exc:
+        open_set_heyting(top)
+    assert str(exc.value) == "not closed under union: ['a'] | ['b']"
 
 
 def test_parse_topology_requires_points_first():
@@ -282,7 +294,10 @@ def test_parse_topology_reads_lines_as_written():
 
 def test_looks_like_topology():
     assert looks_like_topology("# note\nPOINTS a\nOPEN\nOPEN a\n")
+    # A file that opens with OPEN is a topology file in the wrong order.
+    assert looks_like_topology("OPEN a\nPOINTS a\n")
     assert not looks_like_topology(GOOD)
+    assert not looks_like_topology("# only a comment\n")
 
 
 # --- bundled fixtures --------------------------------------------------------
@@ -295,7 +310,7 @@ def test_bundled_scenarios_valid():
 
 def test_bundled_topologies_valid():
     for name in ("sierpinski.top", "vposet.top"):
-        parse_topology(bundled_fixture(name).read_text())
+        open_set_heyting(parse_topology(bundled_fixture(name).read_text()))
 
 
 def test_bundled_sigma_z_category():
