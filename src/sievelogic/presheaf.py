@@ -100,7 +100,11 @@ def _search_order(cat: FinCategory) -> tuple[str, ...]:
     already-ordered constraint neighbours, breaking ties by descending
     out-degree and then by token. Highly connected hubs come first, so
     every later object is checked against assigned neighbours immediately.
+    A lazy heap gives each next object: placing one pushes its unplaced
+    neighbours again with their new counts, and stale entries are skipped.
     """
+    import heapq  # here, so that only reports that search pay for the import
+
     neighbours: dict[str, set[str]] = {obj: set() for obj in cat.objects}
     out_degree = {obj: 0 for obj in cat.objects}
     for a in cat.arrows.values():
@@ -109,17 +113,20 @@ def _search_order(cat: FinCategory) -> tuple[str, ...]:
             neighbours[a.dom].add(a.cod)
             neighbours[a.cod].add(a.dom)
     token_rank = {obj: i for i, obj in enumerate(sorted(cat.objects))}
-    placed: set[str] = set()
+    near = dict.fromkeys(cat.objects, 0)  # ordered neighbours; -1 once ordered itself
+    heap = [(0, -out_degree[obj], token_rank[obj], obj) for obj in cat.objects]
+    heapq.heapify(heap)
     ordered: list[str] = []
-    remaining = set(cat.objects)
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda o: (len(neighbours[o] & placed), out_degree[o], -token_rank[o]),
-        )
-        ordered.append(best)
-        placed.add(best)
-        remaining.discard(best)
+    while heap:
+        count, _, _, obj = heapq.heappop(heap)
+        if near[obj] != -count:  # ordered already, or a stale count
+            continue
+        ordered.append(obj)
+        near[obj] = -1
+        for nb in neighbours[obj]:
+            if near[nb] >= 0:
+                near[nb] += 1
+                heapq.heappush(heap, (-near[nb], -out_degree[nb], token_rank[nb], nb))
     return tuple(ordered)
 
 
@@ -161,10 +168,15 @@ def _forward_check(
     with the values tried (nodes) and those pruned. Assigning value ``k`` to
     variable ``i`` ANDs ``row[k]`` into each linked domain, a domain left
     with one value propagates in turn, and one that empties cuts the branch.
-    Trying more than ``node_budget`` values raises SizeLimitExceeded."""
+    Trying more than ``node_budget`` values raises SizeLimitExceeded. One
+    domain list serves the search: every narrowing, the trial assignment
+    included, first records ``(index, old mask)`` on a trail, and each depth
+    undoes the trail to its mark before its next value."""
     n = len(initial)
+    domains = initial
+    trail: list[tuple[int, int]] = []
 
-    def propagate(domains: list[int], queue: list[int]) -> bool:
+    def propagate(queue: list[int]) -> bool:
         """Narrow the neighbours of every one-value domain on ``queue``;
         False as soon as a domain empties."""
         while queue:
@@ -176,45 +188,47 @@ def _forward_check(
                 if narrowed != d:
                     if not narrowed:
                         return False
+                    trail.append((j, d))
                     domains[j] = narrowed
                     if not narrowed & (narrowed - 1):
                         queue.append(j)
         return True
 
     solutions: list[list[int]] = []
-    # stack[i]: the domains on reaching depth i and the values of variable i
-    # still to try; explicit, so depth is not bounded by the recursion limit.
-    stack: list[tuple[list[int], int]] = []
+    # stack[i]: the trail length on reaching depth i and the values of variable
+    # i still to try; explicit, so depth is not bounded by the recursion limit.
+    stack: list[tuple[int, int]] = []
 
-    def descend(domains: list[int]) -> None:
+    def descend() -> None:
         if len(stack) == n:
             solutions.append([d.bit_length() - 1 for d in domains])
         else:
-            stack.append((domains, domains[len(stack)]))
+            stack.append((len(trail), domains[len(stack)]))
 
     nodes = prunes = 0
-    if all(initial) and propagate(
-        initial, [i for i, d in enumerate(initial) if not d & (d - 1)]
-    ):
-        descend(initial)
+    if all(initial) and propagate([i for i, d in enumerate(initial) if not d & (d - 1)]):
+        descend()
     while stack:
-        domains, left = stack[-1]
+        mark, left = stack[-1]
         if not left:
             stack.pop()
             continue
         i = len(stack) - 1
         bit = left & -left
-        stack[-1] = (domains, left ^ bit)
+        stack[-1] = (mark, left ^ bit)
         nodes += 1
         if nodes > node_budget:
             raise SizeLimitExceeded(
                 f"global-section search exceeded its node budget of {node_budget}",
                 node_budget,
             )
-        trial = domains.copy()
-        trial[i] = bit
-        if propagate(trial, [i]):
-            descend(trial)
+        while len(trail) > mark:
+            j, d = trail.pop()
+            domains[j] = d
+        trail.append((i, domains[i]))
+        domains[i] = bit
+        if propagate([i]):
+            descend()
         else:
             prunes += 1
     return solutions, nodes, prunes

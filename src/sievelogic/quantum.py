@@ -26,7 +26,8 @@ no projector matrix is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Frozen, SieveLogicError, SizeLimitExceeded, lazy_names
@@ -39,7 +40,7 @@ from .heyting import Sieve
 from .presheaf import Presheaf
 
 __getattr__, __dir__ = lazy_names(globals(), {"Check": "fincat", **dict.fromkeys((
-    "SieveValuation", "SpectralAlgebra", "coarse_graining_presheaf", "find_arrow",
+    "SieveValuation", "SpectralAlgebra", "_overlaps", "coarse_graining_presheaf", "find_arrow",
     "func_check", "function_of", "ks_global_section_search", "nu_state_valuation",
     "spectral_projector", "spectrum_subsets", "valuation_transformation",
     "verify_spectral_operator",
@@ -293,16 +294,26 @@ MAX_QUESTIONS = 1 << 13
 _BOOL = (Fraction(0), Fraction(1))
 
 
-def _overlaps(a_op: SpectralOperator, b_op: SpectralOperator) -> list[int]:
-    """The overlap graph of two operators: for each eigenvalue of ``a_op``,
-    the mask of those of ``b_op`` whose eigenspaces are not orthogonal to
-    its own (bit j: ``b_op.spectrum[j]``)."""
+def _overlap_graphs(seeds: Sequence[SpectralOperator]) -> list[list[list[int]]]:
+    """The overlap graph of every ordered pair of seeds: ``[s][t][i]`` masks
+    the levels of ``t`` whose eigenspaces are not orthogonal to level ``i``
+    of ``s`` (bit j: ``t.spectrum[j]``). Seeds share vectors, so each pair
+    of distinct vectors is tested once; a level meets the vectors that any
+    of its own vectors meets."""
+    index: dict[IntVector, int] = {}
+    levels = [[[index.setdefault(v, len(index)) for v in vs] for vs in op.vectors] for op in seeds]
+    distinct = list(index)
+    meets = [0] * len(distinct)
+    for i, u in enumerate(distinct):
+        for j in range(i, len(distinct)):
+            if not orthogonal(u, distinct[j]):
+                meets[i] |= 1 << j
+                meets[j] |= 1 << i
+    held = [[sum(1 << k for k in ks) for ks in op] for op in levels]
+    met = [[reduce(or_, map(meets.__getitem__, ks)) for ks in op] for op in levels]
     return [
-        sum(
-            1 << j for j, vb in enumerate(b_op.vectors)
-            if not all(orthogonal(u, v) for u in va for v in vb)
-        )
-        for va in a_op.vectors
+        [[sum(1 << j for j, h in enumerate(held_t) if h & m) for m in met_s] for held_t in held]
+        for met_s in met
     ]
 
 
@@ -358,7 +369,7 @@ def build_operator_category(
                 f"{questions}, over the guard of {MAX_QUESTIONS}", MAX_QUESTIONS,
             )
 
-    overlap = [[_overlaps(a_op, b_op) for b_op in seeds] for a_op in seeds]
+    overlap = _overlap_graphs(seeds)
     # targets[k][j]: the image of the arrow k -> j, level by level.
     objects = list(seeds)
     targets: list[dict[int, tuple[int, ...]]] = [

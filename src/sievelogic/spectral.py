@@ -16,13 +16,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import (
     QC, QC_ONE, QC_ZERO, IntVector, Matrix, RationalLike, as_fraction, int_inner, int_vector,
+    orthogonal,
 )
 from .heyting import Sieve
 from .presheaf import DEFAULT_NODE_BUDGET, GlobalSection, Presheaf
 from .quantum import (
     DimensionMismatch, DuplicateEigenvalue, IncompleteBasis, IncompleteValuation, NotOrthogonal,
     OperatorCategory, PartialFunction, SpectralError, SpectralOperator, State, _bits,
-    _coarsening, _function, _image, _levels, _overlaps, _subset_masks, dual_presheaf, nu_state,
+    _coarsening, _function, _image, _levels, _subset_masks, dual_presheaf, nu_state,
 )
 from .topos import Check, NaturalTransformation, global_sections, omega_presheaf, push_sieve
 
@@ -195,6 +196,19 @@ def function_of(
     spectrum = tuple(sorted(masks))
     name = name if name is not None else f"f({op.name})"
     return _coarsening(op, name, spectrum, [masks[b] for b in spectrum])
+
+
+def _overlaps(a_op: SpectralOperator, b_op: SpectralOperator) -> list[int]:
+    """The overlap graph of two operators: for each eigenvalue of ``a_op``,
+    the mask of those of ``b_op`` whose eigenspaces are not orthogonal to
+    its own (bit j: ``b_op.spectrum[j]``)."""
+    return [
+        sum(
+            1 << j for j, vb in enumerate(b_op.vectors)
+            if not all(orthogonal(u, v) for u in va for v in vb)
+        )
+        for va in a_op.vectors
+    ]
 
 
 def find_arrow(

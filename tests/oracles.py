@@ -1,7 +1,10 @@
 """Independent brute-force oracles the tests check the library against.
 
 These deliberately avoid the code paths they verify: section search is a
-full product-space filter or plain backtracking with no propagation,
+full product-space filter or plain backtracking with no propagation, in
+an order found by a ``max`` over every remaining object at each step,
+and the forward-checking engine has a twin that copies every domain at
+each node instead of undoing a trail;
 subobjects and natural transformations are product-space filters too,
 sieve enumeration is a raw power-set filter (through the definitional
 membership test, and as a closure-mask filter over all 2^n subsets), and
@@ -51,7 +54,6 @@ from sievelogic.presheaf import (
     Presheaf,
     SectionSearchResult,
     Subobject,
-    _search_order,
     element_key,
     subobject_from_family,
 )
@@ -86,15 +88,103 @@ def brute_force_sections(x: Presheaf) -> list[dict]:
     return sections
 
 
+def max_search_order(cat: FinCategory) -> tuple[str, ...]:
+    """The search order by its definition: repeatedly take the object with
+    the most already-ordered constraint neighbours, breaking ties by
+    descending out-degree and then by token, with a ``max`` over every
+    remaining object at each step. The reference for ``_search_order``."""
+    neighbours: dict[str, set[str]] = {obj: set() for obj in cat.objects}
+    out_degree = {obj: 0 for obj in cat.objects}
+    for a in cat.arrows.values():
+        out_degree[a.dom] += 1
+        if a.dom != a.cod:
+            neighbours[a.dom].add(a.cod)
+            neighbours[a.cod].add(a.dom)
+    token_rank = {obj: i for i, obj in enumerate(sorted(cat.objects))}
+    placed: set[str] = set()
+    ordered: list[str] = []
+    remaining = set(cat.objects)
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda o: (len(neighbours[o] & placed), out_degree[o], -token_rank[o]),
+        )
+        ordered.append(best)
+        placed.add(best)
+        remaining.discard(best)
+    return tuple(ordered)
+
+
+def copy_forward_check(
+    initial: list[int], links, node_budget: float
+) -> tuple[list[list[int]], int, int]:
+    """``_forward_check`` with a fresh copy of every domain at each node in
+    place of the undo trail: the reference for its solutions, their order,
+    ``nodes``, ``prunes`` and the node at which the budget raises."""
+    n = len(initial)
+
+    def propagate(domains: list[int], queue: list[int]) -> bool:
+        while queue:
+            i = queue.pop()
+            k = domains[i].bit_length() - 1
+            for j, row in links[i]:
+                d = domains[j]
+                narrowed = d & row[k]
+                if narrowed != d:
+                    if not narrowed:
+                        return False
+                    domains[j] = narrowed
+                    if not narrowed & (narrowed - 1):
+                        queue.append(j)
+        return True
+
+    solutions: list[list[int]] = []
+    stack: list[tuple[list[int], int]] = []
+
+    def descend(domains: list[int]) -> None:
+        if len(stack) == n:
+            solutions.append([d.bit_length() - 1 for d in domains])
+        else:
+            stack.append((domains, domains[len(stack)]))
+
+    nodes = prunes = 0
+    initial = list(initial)
+    if all(initial) and propagate(
+        initial, [i for i, d in enumerate(initial) if not d & (d - 1)]
+    ):
+        descend(initial)
+    while stack:
+        domains, left = stack[-1]
+        if not left:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        bit = left & -left
+        stack[-1] = (domains, left ^ bit)
+        nodes += 1
+        if nodes > node_budget:
+            raise SizeLimitExceeded(
+                f"global-section search exceeded its node budget of {node_budget}",
+                node_budget,
+            )
+        trial = domains.copy()
+        trial[i] = bit
+        if propagate(trial, [i]):
+            descend(trial)
+        else:
+            prunes += 1
+    return solutions, nodes, prunes
+
+
 def backtrack_section_search(
     x: Presheaf, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SectionSearchResult:
-    """Plain backtracking over objects in the library's fixed order, checking
+    """Plain backtracking over objects in ``max_search_order``, checking
     each value against the assigned neighbours only: the reference for the
     sections, their order and the node count of the propagating search.
     It cuts no branch by domain wipe-out, so ``prunes`` is 0."""
     cat = x.cat
-    order = _search_order(cat)
+    order = max_search_order(cat)
     pos = {obj: i for i, obj in enumerate(order)}
     n = len(order)
 

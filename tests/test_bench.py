@@ -9,13 +9,15 @@ import sys
 import pytest
 
 from sievelogic.heyting import open_set_heyting, sieve_algebra
-from sievelogic.quantum import MAX_QUESTIONS, build_operator_category
+from sievelogic.presheaf import _search_order
+from sievelogic.quantum import MAX_QUESTIONS, _overlap_graphs, build_operator_category
 from sievelogic.scenario import (
     looks_like_topology,
     parse_scenario,
     parse_topology,
     scenario_operators,
 )
+from sievelogic.spectral import _overlaps
 
 from conftest import (
     PERFBENCH,
@@ -24,7 +26,7 @@ from conftest import (
     perfbench_json,
     scenario_category,
 )
-from oracles import endpoint_table, matrix_operator_category
+from oracles import endpoint_table, matrix_operator_category, max_search_order
 
 ROOT = PERFBENCH.parent
 
@@ -72,6 +74,16 @@ def test_bench_inputs_pass_closure_guard(bench_scenarios):
         ocat = build_operator_category(ops, close)
         assert category_shape(ocat) == category_shape(matrix_operator_category(ops, close))
         assert list(ocat.base.composition.items()) == list(endpoint_table(ocat.base).items())
+
+
+def test_fast_paths_match_references_on_bench_inputs(bench_scenarios):
+    # The overlap graphs from distinct vectors equal the pairwise ones, and
+    # the heap search order equals the max reference, on every input.
+    for scn in bench_scenarios:
+        ops = scenario_operators(scn)
+        assert _overlap_graphs(ops) == [[_overlaps(a, b) for b in ops] for a in ops]
+        base = build_operator_category(ops, scn.close_under_questions).base
+        assert _search_order(base) == max_search_order(base)
 
 
 def test_heyting_inputs_pass_table_guard(heyting_bench_inputs):

@@ -329,6 +329,34 @@ def diagonal_scenario(tmp_path, levels: int, close: bool) -> str:
     return str(path)
 
 
+# objects, arrows, sections, work.nodes and work.prunes of each input.
+AT_SCALE = {
+    "kernaghan_peres": ("5197", "27109", "0", "473", "64"),
+    "mermin_star": ("1257", "6289", "0", "2664", "64"),
+    "diag12": ("4097", "20477", "12", "49164", "0"),
+}
+
+
+@pytest.mark.parametrize("which", list(AT_SCALE))
+def test_ks_search_at_scale(request, tmp_path, which):
+    # About a second each with the heap order and the undo trail; 8-12 s
+    # for Kernaghan-Peres and the 12-level diagonal with the quadratic
+    # order and a copy of every domain per node.
+    if which == "kernaghan_peres":
+        path = tmp_path / "kp.scn"
+        path.write_text(request.getfixturevalue("kernaghan_peres_text"))
+    elif which == "mermin_star":
+        path = request.getfixturevalue("mermin_path")
+    else:
+        path = diagonal_scenario(tmp_path, 12, True)
+    code, out = run_cli("ks-search", str(path), "--format", "record")
+    assert code == 0
+    rec = record_dict(out)
+    keys = ("objects", "arrows", "sections", "work.nodes", "work.prunes")
+    assert tuple(rec[k] for k in keys) == AT_SCALE[which]
+    assert ("certificate" in rec) == (rec["sections"] == "0")
+
+
 def test_category_diag9_one_object_one_arrow(tmp_path):
     code, out = run_cli("category", diagonal_scenario(tmp_path, 9, False), "--format", "record")
     assert code == 0
@@ -799,9 +827,10 @@ COLD_MODULES = ("sievelogic.spectral", "sievelogic.topos")
 def test_import_loads_no_dataclasses_inspect_pathlib_or_cold_module():
     # Every report is one process, and importing dataclasses (which pulls
     # in inspect, ast, dis and tokenize) would cost each one about 17 ms,
-    # pathlib about 5 ms, and the library-only modules their compile time.
+    # pathlib about 5 ms, heapq (which only the search reads) about 0.5 ms,
+    # and the library-only modules their compile time.
     # -S keeps site's own imports out of sys.modules.
-    unwanted = {"dataclasses", "inspect", "pathlib", *COLD_MODULES}
+    unwanted = {"dataclasses", "heapq", "inspect", "pathlib", *COLD_MODULES}
     done = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, sievelogic.cli; print(sorted({unwanted!r} & set(sys.modules)))"],

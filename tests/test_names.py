@@ -30,10 +30,10 @@ MOVED = {
         "subobject_from_family", "terminal_presheaf", "validate_presheaf", "validate_subobject",
     ]),
     "quantum": ("spectral", [
-        "SieveValuation", "SpectralAlgebra", "coarse_graining_presheaf", "find_arrow",
-        "func_check", "function_of", "ks_global_section_search", "nu_state_valuation",
-        "spectral_projector", "spectrum_subsets", "valuation_transformation",
-        "verify_spectral_operator",
+        "SieveValuation", "SpectralAlgebra", "_overlaps", "coarse_graining_presheaf",
+        "find_arrow", "func_check", "function_of", "ks_global_section_search",
+        "nu_state_valuation", "spectral_projector", "spectrum_subsets",
+        "valuation_transformation", "verify_spectral_operator",
     ]),
     "exact": ("spectral", [
         "conj_transpose", "identity_matrix", "is_hermitian", "is_idempotent",

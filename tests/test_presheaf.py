@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,12 +31,20 @@ from sievelogic.presheaf import (
     validate_presheaf,
     validate_subobject,
 )
+from sievelogic.presheaf import _constraints, _forward_check, _search_order
 from sievelogic.quantum import coarse_graining_presheaf, dual_presheaf
 
-from conftest import ALL_CATEGORY_FIXTURES, PLAIN_CATEGORY_FIXTURES, idempotent_fork
+from conftest import (
+    ALL_CATEGORY_FIXTURES,
+    PLAIN_CATEGORY_FIXTURES,
+    idempotent_fork,
+    scenario_category,
+)
 from oracles import (
     backtrack_section_search,
     brute_force_sections,
+    copy_forward_check,
+    max_search_order,
     product_natural_transformations,
     product_subobjects,
 )
@@ -508,6 +518,90 @@ def test_search_matches_backtracking_on_random_categories(presheaves):
     for x in presheaves:
         got, _ = assert_search_matches_backtracking(x)
         assert all(check_global_section(x, gs) for gs in got.sections)
+
+
+# --- the heap order and the undo trail against their references ---------------
+
+@pytest.mark.parametrize("fixture_category", ALL_CATEGORY_FIXTURES, indirect=True)
+def test_search_order_matches_max_reference_on_fixtures(fixture_category):
+    assert _search_order(fixture_category) == max_search_order(fixture_category)
+
+
+def test_search_order_matches_max_reference_on_scenarios(
+    bundled_categories, peres24, generated_categories
+):
+    for ocat in [*bundled_categories, peres24, *generated_categories]:
+        assert _search_order(ocat.base) == max_search_order(ocat.base)
+
+
+def test_search_order_matches_max_reference_at_scale(mermin_path, kernaghan_peres_text):
+    # 1,257 and 5,197 objects: the reference takes about 0.5 and 10 s.
+    for text in (mermin_path.read_text(), kernaghan_peres_text):
+        base = scenario_category(text).base
+        assert _search_order(base) == max_search_order(base)
+
+
+@st.composite
+def shuffled_posets(draw):
+    """A random poset on up to 14 points whose names sort in a random
+    order, so placed neighbours, out-degree and token all decide ties."""
+    n = draw(st.integers(1, 14))
+    names = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    up = [1 << i for i in range(n)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        up[min(i, j)] |= 1 << max(i, j)
+    for i in reversed(range(n)):  # transitive closure, upper points first
+        for j in range(i + 1, n):
+            if up[i] >> j & 1:
+                up[i] |= up[j]
+    return poset_to_category(
+        names, [(names[i], names[j]) for i in range(n) for j in range(n) if up[i] >> j & 1]
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(shuffled_posets(), function_categories().map(lambda drawn: drawn[0])))
+def test_search_order_matches_max_reference_on_random_categories(cat):
+    assert _search_order(cat) == max_search_order(cat)
+
+
+@st.composite
+def constraint_systems(draw):
+    """Widths and arcs for ``_constraints``: functional arcs (each row one
+    value, or none), relational arcs (any rows) and self-arcs. An empty
+    domain ends the search at once, so one in ten systems has one."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=8))
+    if draw(st.integers(0, 9)) == 0:
+        widths[draw(st.integers(0, len(widths) - 1))] = 0
+    n = len(widths)
+    arcs = []
+    for _ in range(draw(st.integers(0, 14))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.one_of(st.just(i), st.integers(0, n - 1)))
+        if draw(st.booleans()):
+            row = st.integers(-1, widths[j] - 1).map(lambda k: 1 << k if k >= 0 else 0)
+        else:
+            row = st.integers(0, (1 << widths[j]) - 1)
+        arcs.append((i, j, draw(st.lists(row, min_size=widths[i], max_size=widths[i]))))
+    return widths, arcs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(constraint_systems(), st.integers(0, 40))
+def test_trail_engine_matches_copy_engine(system, budget):
+    initial, links = _constraints(*system)
+    got = _forward_check(list(initial), links, math.inf)
+    assert got == copy_forward_check(list(initial), links, math.inf)
+    # The budget raises at the same node: after exactly ``nodes`` values.
+    nodes = got[1]
+    assert _forward_check(list(initial), links, nodes) == got
+    if nodes:
+        with pytest.raises(SizeLimitExceeded):
+            _forward_check(list(initial), links, nodes - 1)
+    assert outcome(_forward_check, list(initial), links, budget) == outcome(
+        copy_forward_check, list(initial), links, budget
+    )
 
 
 # --- enumerations against the product-filter references ----------------------

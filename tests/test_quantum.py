@@ -60,6 +60,7 @@ from sievelogic.scenario import (
     scenario_operators,
     scenario_states,
 )
+from sievelogic.spectral import _overlaps
 
 from conftest import (
     OPERATOR_CATEGORY_FIXTURES,
@@ -607,6 +608,33 @@ def operator_families(draw):
 @given(operator_families(), st.booleans())
 def test_build_matches_matrix_reference_on_random_families(ops, close):
     assert_matches_matrix_reference(ops, close)
+
+
+# --- overlap graphs from distinct vectors -------------------------------------
+
+def assert_overlap_graphs_match_pairwise(ops):
+    assert quantum._overlap_graphs(ops) == [[_overlaps(a, b) for b in ops] for a in ops]
+
+
+def test_overlap_graphs_match_pairwise(
+    generated_scenarios, peres24_path, mermin_path, kernaghan_peres_text
+):
+    texts = [bundled_fixture(name).read_text()
+             for name in ("sigma_z.scn", "sigma_zx.scn", "cabello18.scn")]
+    texts += [peres24_path.read_text(), mermin_path.read_text(), kernaghan_peres_text]
+    families = [scenario_operators(parse_scenario(text)) for text in texts]
+    families += [g.operators for g in generated_scenarios]
+    families += [case[1] for case in _edge_families()]
+    # Levels that hold several vectors: degenerate levels and coarse-grainings.
+    assert any(len(vs) > 1 for ops in families for op in ops for vs in op.vectors)
+    for ops in families:
+        assert_overlap_graphs_match_pairwise(ops)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(operator_families())
+def test_overlap_graphs_match_pairwise_on_random_families(ops):
+    assert_overlap_graphs_match_pairwise(ops)
 
 
 def test_projector_view_is_cached_and_kept(sigma_z):
