@@ -91,18 +91,15 @@ def _closure_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[
     return outs, ext
 
 
-def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Sieve, ...], list[int], list[int]]:
-    """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens,
-    with its bit mask over ``arrows_from(obj)`` and the closure masks of
-    ``_closure_masks``.
+def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[int], list[int]]:
+    """The arrows out of ``obj``, the bit mask over them of each sieve on
+    ``obj``, once and unordered, and the closure masks of ``_closure_masks``.
 
     Branches on the lowest undecided arrow: taking it in takes in its
     post-composites, leaving it out leaves out every arrow that has it as a
     post-composite. Neither choice can contradict an earlier one, since
     post-composites of post-composites are post-composites, so every leaf
-    is a distinct sieve and the walk costs O(sieves * arrows). The arrows
-    are sorted by token, so ordering masks by their bits orders the sieves
-    by their tokens.
+    is a distinct sieve and the walk costs O(sieves * arrows).
     """
     outs, ext = _closure_masks(cat, obj)
     n = len(outs)
@@ -119,17 +116,23 @@ def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Sieve, ...], list[in
         i = (free & -free).bit_length() - 1
         stack.append((taken, left | below[i]))
         stack.append((taken | ext[i], left))
+    return outs, found, ext
 
-    found.sort(key=lambda s: [i for i in range(n) if s >> i & 1])
-    sieves = tuple(
-        Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1)) for s in found
+
+def _named_sieves(obj: str, outs: tuple[Arrow, ...], masks: list[int]) -> tuple[Sieve, ...]:
+    """Sorts ``masks`` in place by their bits (the arrows are sorted by
+    token, so this orders the sieves by token) and returns their sieves."""
+    n = len(outs)
+    masks.sort(key=lambda s: [i for i in range(n) if s >> i & 1])
+    return tuple(
+        Sieve(obj, frozenset(outs[i].id for i in range(n) if s >> i & 1)) for s in masks
     )
-    return sieves, found, ext
 
 
 def all_sieves(cat: FinCategory, obj: str) -> tuple[Sieve, ...]:
     """Every sieve on ``obj`` exactly once, lexicographic by arrow tokens."""
-    return _sieve_masks(cat, obj)[0]
+    outs, masks, _ = _sieve_masks(cat, obj)
+    return _named_sieves(obj, outs, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +309,12 @@ def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
 
     Each sieve is a bit mask over ``arrows_from(obj)``: meet and join are
     ``&`` and ``|``, and ``s1 => s2`` keeps the arrows none of whose
-    post-composites lie in ``s1`` but not ``s2``.
+    post-composites lie in ``s1`` but not ``s2``. The table guard counts the
+    masks before any sieve is sorted or named.
     """
-    sieves, masks, ext = _sieve_masks(cat, obj)
-    _check_table_size(f"object {obj!r}", len(sieves))
-    return _mask_table(sieves, masks, ext)
+    outs, masks, ext = _sieve_masks(cat, obj)
+    _check_table_size(f"object {obj!r}", len(masks))
+    return _mask_table(_named_sieves(obj, outs, masks), masks, ext)
 
 
 def excluded_middle_violations(table: HeytingAlgebraTable) -> tuple:

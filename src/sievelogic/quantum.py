@@ -397,35 +397,31 @@ def build_operator_category(
             targets.append({})
             return len(objects) - 1
 
-        # A two-level seed equals the questions of both its eigenvalues; one
-        # with spectrum {0, 1} is the question of its 1.
-        two_level: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # under[key]: each two-level object Y whose level i is the projector
+        # of question ``key``, with the image of that question's arrow onto Y
+        # (1 -> i). A seed with spectrum {0, 1} is the question of its 1.
+        under: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
+        question: dict[tuple[int, int], int] = {}
         for t, op in enumerate(seeds):
             if len(op.spectrum) == 2:
                 for i in (0, 1):
-                    two_level.setdefault(first(t, 1 << i), []).append((t, i))
-        held = {first(t, 0b10) for t, op in enumerate(seeds) if op.spectrum == _BOOL}
-        question: dict[tuple[int, int], int] = {}
+                    under.setdefault(first(t, 1 << i), {})[t] = ((1, 0), (0, 1))[i]
+                if op.spectrum == _BOOL:
+                    question.setdefault(first(t, 0b10), t)
         for s, op in enumerate(seeds):
             full = (1 << len(op.spectrum)) - 1
             for mask in _subset_masks(len(op.spectrum))[1:-1]:
                 key = first(s, mask)
-                if key not in question and key not in held:
+                if key not in question:
                     delta = ",".join(str(op.spectrum[i]) for i in _bits(mask))
                     q = question[key] = adjoin(
                         op, f"{op.name}[{delta}]", _BOOL, (full ^ mask, mask)
                     )
-                    for t, i in two_level.get(key, ()):
-                        targets[q][t] = (1 - i, i)
-                if key in question:
-                    targets[s][question[key]] = tuple(
-                        mask >> i & 1 for i in range(len(op.spectrum))
-                    )
-        for (s, mask), q in question.items():
-            targets[q][q] = (0, 1)
-            complement = question.get(first(s, mask ^ ((1 << len(seeds[s].spectrum)) - 1)))
-            if complement is not None:
-                targets[q][complement] = (1, 0)
+                    under.setdefault(key, {})[q] = (0, 1)
+                    under.setdefault(first(s, full ^ mask), {})[q] = (1, 0)
+                targets[s][question[key]] = tuple(mask >> i & 1 for i in range(len(op.spectrum)))
+        for key, q in question.items():
+            targets[q].update(under[key])
         # The empty and full subsets collapse to the constants, shared once.
         for value in _BOOL:
             if all(op.spectrum != (value,) for op in seeds):

@@ -425,6 +425,18 @@ def test_heyting_table_guard_exits_3(tmp_path):
     assert rd["guard"] == "1048576"
 
 
+def test_heyting_table_guard_names_no_sieve(tmp_path, monkeypatch):
+    path = fan_scenario(tmp_path)
+    expected = run_cli("heyting", path)
+    assert expected[0] == 3
+
+    def refuse(*args):
+        raise AssertionError("a sieve was named before the table guard")
+
+    monkeypatch.setattr(heyting, "Sieve", refuse)
+    assert run_cli("heyting", path) == expected
+
+
 def chain_topology(tmp_path, n, first=0):
     """A file of n points whose opens are the first k points, for k from
     ``first`` to n: a topology for first=0, none without the empty set."""

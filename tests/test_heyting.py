@@ -12,6 +12,7 @@ from sievelogic.fincat import (
     arrows_from,
     poset_to_category,
 )
+from sievelogic import heyting
 from sievelogic.heyting import (
     MAX_OUT_ARROWS,
     MAX_TABLE_CELLS,
@@ -678,6 +679,21 @@ def test_table_guard_trips_under_the_out_arrow_cap():
     with pytest.raises(SizeLimitExceeded) as exc:
         sieve_algebra(cat, "b")
     assert exc.value.limit == MAX_TABLE_CELLS
+    assert str(exc.value) == (
+        "heyting table: object 'b' has 2049 elements, so 4198401 table cells, "
+        "over the guard of 1048576"
+    )
+
+
+def test_table_guard_trips_before_any_sieve_is_named(monkeypatch):
+    # The guard reads the count of sieve masks; sorting and naming 2,049
+    # sieves would only be wasted.
+    def refuse(*args):
+        raise AssertionError("a sieve was named before the table guard")
+
+    monkeypatch.setattr(heyting, "Sieve", refuse)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        sieve_algebra(bottom_under(11), "b")
     assert str(exc.value) == (
         "heyting table: object 'b' has 2049 elements, so 4198401 table cells, "
         "over the guard of 1048576"

@@ -540,6 +540,9 @@ def _edge_families():
     twin = make_operator("B", 3, [(1, [(2, 0, 0)]), (2, [(0, 3, 0)]), (3, [(0, 0, 1)])])
     rename = SpectralOperator("A[1]", 3, a.spectrum, a.projectors)
     const = make_operator("const0", 3, [(7, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
+    again = function_of(a, {F(1): 1, F(2): 0, F(3): 0}, name="r")
+    low = make_operator("low", 3, [(5, [(1, 0, 0)]), (7, [(0, 1, 0), (0, 0, 1)])])
+    rest = function_of(a, {F(1): 0, F(2): 1, F(3): 1}, name="c")
     return [
         ("question_to_two_level_seed", [sz], "sigma_z[1]->sigma_z"),
         ("question_to_one_level_seed", [a, flat], "A[1]->five"),
@@ -548,6 +551,9 @@ def _edge_families():
         ("structurally_equal_seeds", [a, twin], "B->A"),
         ("name_collides_with_question", [a, rename], "A->A[1]'"),
         ("name_collides_with_constant", [a, const], "const0'->const0"),
+        ("two_zero_one_seeds_share_a_projector", [a, question, again], "q->r"),
+        ("lower_level_on_a_question", [a, low], "A[1]->low"),
+        ("zero_one_seed_equals_a_complement", [a, rest], "A[1]->c"),
     ]
 
 
