@@ -269,36 +269,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    fmt = args.format
+    code, notes = 0, ()
     try:
         pairs, notes = _COMMANDS[args.command](args.path, args)
-    except ParseError as exc:
-        sys.stdout.write(_render(
-            [("command", args.command), ("scenario", args.path),
-             ("error", "ParseError"), ("detail", str(exc))], fmt,
-        ))
-        return 2
-    except SizeLimitExceeded as exc:
-        sys.stdout.write(_render(
-            [("command", args.command), ("scenario", args.path),
-             ("error", "SizeLimitExceeded"), ("detail", str(exc)),
-             ("guard", str(exc.limit))], fmt,
-        ))
-        return 3
     except SieveLogicError as exc:
-        pairs = [("command", args.command), ("scenario", args.path)]
-        if isinstance(exc, SpectralError):
+        code, error = 1, [("error", type(exc).__name__)]
+        if isinstance(exc, ParseError):
+            code = 2
+        elif isinstance(exc, SpectralError):
             # Operator-law failures surface as invariant violations naming
             # the operator and the broken law.
-            pairs.append(("error", "InvariantViolation"))
-            pairs.append(("law", type(exc).__name__))
-        else:
-            pairs.append(("error", type(exc).__name__))
-        pairs.append(("detail", str(exc)))
-        sys.stdout.write(_render(pairs, fmt))
-        return 1
-    sys.stdout.write(_render(pairs, fmt, notes))
-    return 0
+            error = [("error", "InvariantViolation"), ("law", type(exc).__name__)]
+        pairs = [("command", args.command), ("scenario", args.path), *error, ("detail", str(exc))]
+        if isinstance(exc, SizeLimitExceeded):
+            code = 3
+            pairs.append(("guard", str(exc.limit)))
+    sys.stdout.write(_render(pairs, args.format, notes))
+    return code
 
 
 def run() -> None:

@@ -223,7 +223,8 @@ def _levels(op: SpectralOperator, delta: Iterable[RationalLike]) -> list[int]:
     dset = frozenset(as_fraction(d) for d in delta)
     extra = dset - set(op.spectrum)
     if extra:
-        raise NotInSpectrum(f"{sorted(extra)} not in the spectrum of {op.name!r}")
+        shown = ",".join(map(str, sorted(extra)))
+        raise NotInSpectrum(f"{{{shown}}} not in the spectrum of {op.name!r}")
     return [i for i, a in enumerate(op.spectrum) if a in dset]
 
 
@@ -236,6 +237,13 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _check_length(state: State, op: SpectralOperator) -> None:
+    if len(state.vector) != op.dim:
+        raise DimensionMismatch(
+            f"state has length {len(state.vector)}, operator {op.name!r} has dimension {op.dim}"
+        )
+
+
 def born_prob(
     state: State, op: SpectralOperator, delta: Iterable[RationalLike]
 ) -> Fraction:
@@ -246,11 +254,7 @@ def born_prob(
     components <v, psi> v / |v|^2. The probability is therefore the sum of
     |<v, psi>|^2 / |v|^2 over those vectors, divided by |psi|^2: integer
     inner products, and no projector matrix."""
-    if len(state.vector) != op.dim:
-        raise DimensionMismatch(
-            f"state has length {len(state.vector)}, operator {op.name!r} "
-            f"has dimension {op.dim}"
-        )
+    _check_length(state, op)
     psi = state.ints
     weight = Fraction(0)
     for i in _levels(op, delta):
@@ -466,8 +470,7 @@ def nu_state(
     name = context.name if isinstance(context, SpectralOperator) else context
     op = ocat.operator(name)
     levels = _levels(op, delta)
-    if len(state.vector) != op.dim:
-        raise DimensionMismatch("state dimension does not match the category")
+    _check_length(state, op)
     psi = state.ints
     live = [i for i, vs in enumerate(op.vectors) if not all(orthogonal(v, psi) for v in vs)]
     members = set()

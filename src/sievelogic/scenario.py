@@ -27,7 +27,7 @@ from .errors import SieveLogicError, SizeLimitExceeded
 from .exact import QC, Vector, vector
 from .heyting import FiniteTopology
 from .quantum import (
-    NotInSpectrum, OperatorCategory, SpectralOperator, State, build_operator_category,
+    OperatorCategory, SpectralError, SpectralOperator, State, _levels, build_operator_category,
     make_operator, make_state,
 )
 
@@ -296,7 +296,10 @@ def scenario_states(scn: Scenario) -> dict[str, State]:
     for name, vec in scn.states.items():
         if len(vec) != scn.dimension:
             raise SieveLogicError(f"state {name!r} has length {len(vec)}, expected {scn.dimension}")
-        out[name] = make_state(vec)
+        try:
+            out[name] = make_state(vec)
+        except SpectralError as exc:
+            raise type(exc)(f"state {name!r}: {exc}") from None
     return out
 
 
@@ -309,13 +312,7 @@ def validate_scenario(scn: Scenario, ops: list[SpectralOperator]) -> dict[str, S
             raise UnknownName(f"query names unknown state {q.state!r}")
         if q.operator not in by_name:
             raise UnknownName(f"query names unknown operator {q.operator!r}")
-        spectrum = set(by_name[q.operator].spectrum)
-        missing = [v for v in q.delta if v not in spectrum]
-        if missing:
-            raise NotInSpectrum(
-                f"query eigenvalues {sorted(missing)} not in the spectrum "
-                f"of {q.operator!r}"
-            )
+        _levels(by_name[q.operator], q.delta)
     return states
 
 

@@ -1,7 +1,5 @@
 import itertools
-import json
 import math
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +8,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import sievelogic
 from sievelogic.exact import (
     QC,
     QC_ONE,
@@ -32,43 +29,8 @@ from sievelogic.scenario import (
     scenario_operators,
 )
 
+from golden import PERFBENCH, bench_inputs, bundled_fixture, perfbench_json
 from oracles import format_vector, inner, matrix
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def bundled_fixture(name: str) -> Path:
-    """Path of a fixture file shipped with the package."""
-    path = Path(sievelogic.__file__).resolve().parent / "fixtures" / name
-    if not path.exists():
-        raise FileNotFoundError(f"no bundled fixture named {name!r}")
-    return path
-
-
-def perfbench_json(script: str, *args: str):
-    """What ``script``, run inside ``perfbench/`` with ``args``, prints as JSON."""
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        cwd=PERFBENCH, capture_output=True, text=True, check=True, timeout=120,
-    )
-    return json.loads(done.stdout)
-
-
-# Prints the seed, name and text of every input of one workload, seeds 1-3.
-_BENCH_INPUTS_SCRIPT = """
-import json, sys, workloads
-print(json.dumps([
-    (seed, req.filename, req.text)
-    for seed in (1, 2, 3)
-    for req in workloads.generate(sys.argv[1], seed)
-]))
-"""
-
-
-def bench_inputs(workload: str) -> list[tuple[int, str, str]]:
-    """``(seed, filename, text)`` of every input of ``workload``, seeds 1-3."""
-    return [tuple(entry) for entry in perfbench_json(_BENCH_INPUTS_SCRIPT, workload)]
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sievelogic
-from sievelogic import cli, fincat, heyting, quantum, scenario
+from sievelogic import cli, exact, fincat, heyting, quantum, scenario
 from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
@@ -195,6 +195,95 @@ def test_non_utf8_file_is_parse_failure(tmp_path):
     assert rec["error"] == "ParseError"
     assert "cannot read" in rec["detail"]
     assert "utf-8" in rec["detail"]
+
+
+# --- refusals, one case per branch ----------------------------------------------
+
+_Z = "DIM 2\nOPERATOR z\nEIGENVALUE 1 : (1,0)\nEIGENVALUE -1 : (0,1)\n"
+
+REFUSALS = {
+    "empty-vector": ("validate", "DIM 2\nOPERATOR z\nEIGENVALUE 1 : ()\n",
+                     2, "ParseError", None, "line 3, column 16: empty vector"),
+    "state-without-vector": ("validate", _Z + "STATE s\n",
+                             2, "ParseError", None,
+                             "line 5, column 7: STATE needs a name and a vector"),
+    "duplicate-close": ("validate", _Z + "CLOSE on\nCLOSE off\n",
+                        2, "ParseError", None, "line 6, column 1: duplicate CLOSE"),
+    "empty-query": ("valuate", _Z + "STATE s (1,0)\nQUERY s z {}\n",
+                    2, "ParseError", None,
+                    "line 6, column 7: QUERY needs at least one eigenvalue"),
+    "missing-dim": ("validate", "# only a comment\n",
+                    2, "ParseError", None, "line 1, column 1: missing DIM"),
+    "duplicate-points": ("heyting", "POINTS a\nPOINTS b\n",
+                         2, "ParseError", None, "line 2, column 1: duplicate POINTS"),
+    "long-eigenvector": ("validate", _Z.replace("(1,0)", "(1,0,0)"),
+                         1, "InvariantViolation", "DimensionMismatch",
+                         "operator 'z': eigenvector of 1 has length 3"),
+    "zero-eigenvector": ("validate", _Z.replace("(1,0)", "(0,0)"),
+                         1, "InvariantViolation", "IncompleteBasis",
+                         "operator 'z': zero vector under 1"),
+    "zero-state": ("validate", _Z + "STATE s (0, 0)\n",
+                   1, "InvariantViolation", "SpectralError",
+                   "state 's': state vector must be nonzero"),
+    "query-outside-spectrum": ("valuate", _Z + "STATE s (1,0)\nQUERY s z {5/2}\n",
+                               1, "InvariantViolation", "NotInSpectrum",
+                               "{5/2} not in the spectrum of 'z'"),
+    "query-two-outside-spectrum": ("validate", _Z + "STATE s (1,0)\nQUERY s z {7, 1, 5/2}\n",
+                                   1, "InvariantViolation", "NotInSpectrum",
+                                   "{5/2,7} not in the spectrum of 'z'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_report(tmp_path, case):
+    command, text, code, error, law, detail = REFUSALS[case]
+    path = tmp_path / "refused.scn"
+    path.write_text(text)
+    got, out = run_cli(command, str(path), "--format", "record")
+    rec = record_dict(out)
+    assert got == code
+    assert list(rec) == ["command", "scenario", "error", *(["law"] if law else []), "detail"]
+    assert (rec["error"], rec.get("law"), rec["detail"]) == (error, law, detail)
+
+
+def _z_category():
+    return quantum.build_operator_category(
+        [quantum.make_operator("z", 2, [(1, [(1, 0)]), (-1, [(0, 1)])])]
+    )
+
+
+# Refusals that no scenario or topology file reaches: the library's own.
+LIBRARY_REFUSALS = {
+    "topology-without-points": (
+        lambda: scenario.parse_topology(""),
+        scenario.ParseError, "line 1, column 1: missing POINTS"),
+    "eigenvalue-without-vectors": (
+        lambda: quantum.make_operator("z", 1, [(1, [])]),
+        quantum.IncompleteBasis, "operator 'z': eigenvalue 1 has no vectors"),
+    "category-without-operators": (
+        lambda: quantum.build_operator_category([]),
+        quantum.SpectralError, "an operator category needs at least one operator"),
+    "nu-state-of-wrong-length": (
+        lambda: quantum.nu_state(_z_category(), quantum.make_state((1, 0, 0)), "z", [1]),
+        quantum.DimensionMismatch, "state has length 3, operator 'z' has dimension 2"),
+    "repeated-object": (
+        lambda: fincat.thin_category(["p", "p"], [("p", "p")]),
+        fincat.CategoryError, "duplicate object tokens"),
+    "identity-of-unknown-object": (
+        lambda: fincat.thin_category(["p"], [("p", "p")]).identity("q"),
+        fincat.UnknownObject, "no object with token 'q'"),
+    "float-as-fraction": (
+        lambda: exact.as_fraction(1.5),
+        TypeError, "expected int or Fraction, got float"),
+}
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_REFUSALS))
+def test_library_refusal(case):
+    call, error, detail = LIBRARY_REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, detail)
 
 
 # --- category ----------------------------------------------------------------
