@@ -25,7 +25,7 @@ only when first read; the law check and the CLI read the rows.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import and_
+from operator import or_
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -70,30 +70,11 @@ class Sieve(NamedTuple):
         return arrow_id in self.members
 
 
-def _closure_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[int]]:
-    """The arrows out of ``obj`` and, for each arrow ``f``, the bit mask
-    (over that order) of its post-composites ``g after f``; ``f`` itself is
-    one of them. A set is a sieve iff it contains the mask of each member."""
-    outs = arrows_from(cat, obj)
-    if len(outs) > MAX_OUT_ARROWS:
-        raise SizeLimitExceeded(
-            f"object {obj!r} has {len(outs)} outgoing arrows; "
-            f"sieve enumeration is capped at {MAX_OUT_ARROWS}",
-            MAX_OUT_ARROWS,
-        )
-    index = {a.id: i for i, a in enumerate(outs)}
-    ext = []
-    for a in outs:
-        mask = 0
-        for g in arrows_from(cat, a.cod):
-            mask |= 1 << index[cat.compose_ids(g.id, a.id)]
-        ext.append(mask)
-    return outs, ext
-
-
 def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[int], list[int]]:
     """The arrows out of ``obj``, the bit mask over them of each sieve on
-    ``obj``, once and unordered, and the closure masks of ``_closure_masks``.
+    ``obj``, once and unordered, and the closure table: ``below[j]`` holds
+    each arrow ``f`` with ``j`` among its post-composites ``g after f``, the
+    transpose of ``ext[f]`` (``f`` among them), filled in the same pass.
 
     Branches on the lowest undecided arrow: taking it in takes in its
     post-composites, leaving it out leaves out every arrow that has it as a
@@ -101,9 +82,21 @@ def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[in
     post-composites of post-composites are post-composites, so every leaf
     is a distinct sieve and the walk costs O(sieves * arrows).
     """
-    outs, ext = _closure_masks(cat, obj)
+    outs = arrows_from(cat, obj)
     n = len(outs)
-    below = [sum(1 << j for j in range(n) if ext[j] >> i & 1) for i in range(n)]
+    if n > MAX_OUT_ARROWS:
+        raise SizeLimitExceeded(
+            f"object {obj!r} has {n} outgoing arrows; "
+            f"sieve enumeration is capped at {MAX_OUT_ARROWS}",
+            MAX_OUT_ARROWS,
+        )
+    index = {a.id: i for i, a in enumerate(outs)}
+    ext, below = [0] * n, [0] * n
+    for i, a in enumerate(outs):
+        for g in arrows_from(cat, a.cod):
+            j = index[cat.compose_ids(g.id, a.id)]
+            ext[i] |= 1 << j
+            below[j] |= 1 << i
     full = (1 << n) - 1
     found = []
     stack = [(0, 0)]  # (arrows taken in, arrows left out)
@@ -116,7 +109,7 @@ def _sieve_masks(cat: FinCategory, obj: str) -> tuple[tuple[Arrow, ...], list[in
         i = (free & -free).bit_length() - 1
         stack.append((taken, left | below[i]))
         stack.append((taken | ext[i], left))
-    return outs, found, ext
+    return outs, found, below
 
 
 def _named_sieves(obj: str, outs: tuple[Arrow, ...], masks: list[int]) -> tuple[Sieve, ...]:
@@ -222,24 +215,29 @@ class HeytingAlgebraTable(Frozen):
 
 class _Implied(dict):
     """Bad mask ``m1 & ~m2`` -> index of ``m1 => m2``, filled on first
-    lookup. Bit ``i`` belongs to ``m1 => m2`` iff ``ext[i]`` misses the bad
-    mask."""
+    lookup: the complement of the closure of the bad mask, the union of
+    ``below[j]`` over its bits ``j``. The closure is reflexive and
+    transitive, so a bit already in the union adds nothing and is skipped."""
 
-    def __init__(self, ext: list[int], pos: dict[int, int]):
+    def __init__(self, below: list[int], pos: dict[int, int]):
         super().__init__()
-        self.ext, self.pos = ext, pos
+        self.below, self.pos, self.full = below, pos, (1 << len(below)) - 1
 
     def __missing__(self, bad: int) -> int:
-        k = self[bad] = self.pos[sum(1 << i for i, e in enumerate(self.ext) if not e & bad)]
+        hit, rest = 0, bad
+        while rest:
+            hit |= self.below[(rest & -rest).bit_length() - 1]
+            rest &= ~hit
+        k = self[bad] = self.pos[self.full ^ hit]
         return k
 
 
-def _mask_table(elements: tuple, masks: list[int], ext: list[int]) -> HeytingAlgebraTable:
+def _mask_table(elements: tuple, masks: list[int], below: list[int]) -> HeytingAlgebraTable:
     """The table of ``elements``, each given by its bit mask, where the
-    masks are closed under ``&``, ``|`` and the implication that ``ext``
-    defines (see ``_Implied``). Every cell is found by its mask."""
+    masks are closed under ``&``, ``|`` and the implication that the closure
+    table ``below`` gives (see ``_Implied``). Every cell is found by its mask."""
     pos = {m: i for i, m in enumerate(masks)}
-    implied = _Implied(ext, pos)
+    implied = _Implied(below, pos)
     meet = tuple(tuple([pos[m1 & m2] for m2 in masks]) for m1 in masks)
     join = tuple(tuple([pos[m1 | m2] for m2 in masks]) for m1 in masks)
     implies = tuple(tuple([implied[m1 & ~m2] for m2 in masks]) for m1 in masks)
@@ -294,14 +292,15 @@ def open_set_heyting(topology: FiniteTopology) -> HeytingAlgebraTable:
 
     Past the table guard, ``_open_masks`` checks the laws on the masks the
     table is built from. ``o1 => o2`` is the interior of ``(points - o1) |
-    o2``: the points whose smallest open neighbourhood (the meet of the
-    opens around them) misses ``o1 - o2``.
+    o2``, the complement of the closure of ``o1 - o2``: the union of the
+    point closures, each the complement of the opens that miss its point.
     """
     _check_table_size(f"topology on {len(topology.points)} points", len(topology.opens))
     opens, masks = _open_masks(*topology)
     n = len(topology.points)
-    nbhd = [reduce(and_, (m for m in masks if m >> i & 1), (1 << n) - 1) for i in range(n)]
-    return _mask_table(opens, masks, nbhd)
+    full = (1 << n) - 1
+    closure = [full ^ reduce(or_, (m for m in masks if not m >> q & 1), 0) for q in range(n)]
+    return _mask_table(opens, masks, closure)
 
 
 def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
@@ -312,9 +311,9 @@ def sieve_algebra(cat: FinCategory, obj: str) -> HeytingAlgebraTable:
     post-composites lie in ``s1`` but not ``s2``. The table guard counts the
     masks before any sieve is sorted or named.
     """
-    outs, masks, ext = _sieve_masks(cat, obj)
+    outs, masks, below = _sieve_masks(cat, obj)
     _check_table_size(f"object {obj!r}", len(masks))
-    return _mask_table(_named_sieves(obj, outs, masks), masks, ext)
+    return _mask_table(_named_sieves(obj, outs, masks), masks, below)
 
 
 def excluded_middle_violations(table: HeytingAlgebraTable) -> tuple:

@@ -21,12 +21,15 @@ composable pair at a time. The operator category is built from projector
 matrices: subset sums of each object's projectors, interned by value,
 under a budget of matrix entries. Born probabilities are Rayleigh
 quotients of the summed projector matrix.
+A change of basis is the Cayley transform of a random skew-Hermitian
+matrix, inverted by Gauss-Jordan elimination, so it is exactly unitary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -641,6 +644,39 @@ def _structural_key(op: SpectralOperator) -> tuple:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def gauss_jordan_inverse(m: Matrix) -> Matrix:
+    """The inverse of an invertible square matrix by Gauss-Jordan
+    elimination over QC, dividing by ``z`` as ``conj(z) / |z|^2``."""
+    n = len(m)
+    rows = [list(row) + list(unit) for row, unit in zip(m, identity_matrix(n))]
+    for c in range(n):
+        p = next(r for r in range(c, n) if not rows[r][c].is_zero())
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x * pivot.conj() / (pivot.re ** 2 + pivot.im ** 2) for x in rows[c]]
+        for r in range(n):
+            if r != c and not rows[r][c].is_zero():
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def cayley_unitary(rng: random.Random, dim: int, s: int) -> Matrix:
+    """The Cayley transform ``(I - K)(I + K)^-1`` of a random skew-Hermitian
+    ``K`` whose entries have real and imaginary parts drawn from [-s, s]:
+    exactly unitary over the Gaussian rationals, with no square root.
+    ``I + K`` is invertible because the eigenvalues of ``K`` are imaginary."""
+    draw = lambda: Fraction(rng.randint(-s, s))
+    k = [[QC_ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        k[i][i] = QC(Fraction(0), draw())
+        for j in range(i + 1, dim):
+            k[i][j] = QC(draw(), draw())
+            k[j][i] = -k[i][j].conj()
+    eye = identity_matrix(dim)
+    return dense_mat_mul(mat_sub(eye, k), gauss_jordan_inverse(mat_add(eye, k)))
 
 
 def _charge_subsets(spent: int, stage: str, op: SpectralOperator, walks: int) -> int:

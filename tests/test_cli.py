@@ -823,6 +823,10 @@ def test_heyting_report_matches_reference_on_generated(monkeypatch, tmp_path, ge
         assert_heyting_matches_reference(monkeypatch, str(path))
 
 
+def test_heyting_report_matches_reference_on_a_chain_topology(monkeypatch, tmp_path):
+    assert_heyting_matches_reference(monkeypatch, chain_topology(tmp_path, 64))
+
+
 def test_heyting_report_matches_reference_on_bench_inputs(
     monkeypatch, tmp_path, heyting_bench_inputs
 ):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sievelogic.errors import SieveLogicError, SizeLimitExceeded
 from sievelogic.fincat import (
@@ -462,12 +462,13 @@ def test_topology_defect_matches_set_reference_with_bounds(family):
 # --- the mask kernel against the per-pair reference ---------------------------
 
 # Random finite posets: up to six points, any set of pairs i < j, closed
-# transitively.
+# transitively. With ``cycles``, any pairs i != j in either direction: a
+# preorder, whose points on a cycle share every open (a space not T0).
 @st.composite
-def posets(draw, max_points=6):
+def posets(draw, max_points=6, cycles=False):
     n = draw(st.integers(1, max_points))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    rel = set(draw(st.sets(pairs.filter(lambda t: t[0] < t[1]))))
+    rel = set(draw(st.sets(pairs.filter(lambda t: t[0] != t[1] if cycles else t[0] < t[1]))))
     for k, i, j in itertools.product(range(n), repeat=3):
         if (i, k) in rel and (k, j) in rel:
             rel.add((i, j))
@@ -554,10 +555,7 @@ def upper_set_topology(points, rel):
     return make_topology(points, opens)
 
 
-@_kernel_settings
-@given(posets(max_points=5))
-def test_open_set_implies_matches_union_of_opens(poset):
-    topology = upper_set_topology(*poset)
+def assert_implies_matches_union_of_opens(topology):
     table = open_set_heyting(topology)
     for x in table.elements:
         assert table.neg[x] == union_implies(topology, x, frozenset())
@@ -565,6 +563,26 @@ def test_open_set_implies_matches_union_of_opens(poset):
             assert table.implies[(x, y)] == union_implies(topology, x, y)
     check = validate_heyting_table(table)
     assert check, check.witness
+
+
+@_kernel_settings
+@given(posets(max_points=5))
+def test_open_set_implies_matches_union_of_opens(poset):
+    assert_implies_matches_union_of_opens(upper_set_topology(*poset))
+
+
+@_kernel_settings
+@given(posets(max_points=5, cycles=True))
+@example((["x0", "x1", "x2"], {("x0", "x1"), ("x1", "x0")}))
+def test_open_set_implies_matches_union_of_opens_on_preorders(preorder):
+    assert_implies_matches_union_of_opens(upper_set_topology(*preorder))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64])
+def test_open_set_implies_matches_union_of_opens_on_chains(n):
+    # The opens are the first k points, k = 0 .. n.
+    points = [f"p{i}" for i in range(n)]
+    assert_implies_matches_union_of_opens(make_topology(points, [points[:k] for k in range(n + 1)]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
