@@ -1,5 +1,3 @@
-import itertools
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,15 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from sievelogic.exact import (
-    QC,
-    QC_ONE,
-    identity_matrix,
-    is_zero_vector,
-    mat_add,
-    mat_mul,
-    vector,
-)
 from sievelogic.fincat import Arrow, build_category, poset_to_category
 from sievelogic.quantum import (
     build_operator_category,
@@ -29,8 +18,8 @@ from sievelogic.scenario import (
     scenario_operators,
 )
 
-from golden import PERFBENCH, bench_inputs, bundled_fixture, perfbench_json
-from oracles import format_vector, inner, matrix
+import families
+from golden import bench_inputs, bundled_fixture
 
 
 @pytest.fixture(scope="session")
@@ -178,54 +167,12 @@ def cabello():
     return bundled_category("cabello18.scn")
 
 
-# --- Peres's 24 rays ---------------------------------------------------------
-
-def peres_rays() -> list[tuple[int, ...]]:
-    """Peres's 24 rays in dimension 4: e_i, e_i +- e_j and (1, +-1, +-1, +-1)."""
-    rays = [tuple(int(k == i) for k in range(4)) for i in range(4)]
-    for i, j in itertools.combinations(range(4), 2):
-        for s in (1, -1):
-            rays.append(tuple(1 if k == i else s if k == j else 0 for k in range(4)))
-    rays.extend((1,) + signs for signs in itertools.product((1, -1), repeat=3))
-    return rays
-
-
-def peres_bases() -> list[tuple[int, ...]]:
-    """Every four mutually orthogonal Peres rays, as sorted ray indices."""
-    rays = peres_rays()
-
-    def orthogonal(a, b):
-        return sum(x * y for x, y in zip(rays[a], rays[b])) == 0
-
-    return [
-        quad for quad in itertools.combinations(range(len(rays)), 4)
-        if all(orthogonal(a, b) for a, b in itertools.combinations(quad, 2))
-    ]
-
-
-def bases_scenario_text(prefix: str, bases) -> str:
-    """One operator per basis, named ``prefix`` and its index, with
-    eigenvalue k + 1 on its k-th vector, closed under questions."""
-    lines = [f"DIM {len(bases[0])}"]
-    for b, basis in enumerate(bases):
-        lines.append(f"OPERATOR {prefix}{b}")
-        for k, v in enumerate(basis):
-            lines.append(f"EIGENVALUE {k + 1} : {format_vector(vector(v))}")
-    lines.append("CLOSE on")
-    return "\n".join(lines) + "\n"
-
-
-def peres_scenario_text() -> str:
-    rays = peres_rays()
-    return bases_scenario_text(
-        "peres", [[rays[r] for r in quad] for quad in peres_bases()]
-    )
-
+# --- Kochen-Specker sets ------------------------------------------------------
 
 @pytest.fixture(scope="session")
 def peres24_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("peres") / "peres24.scn"
-    path.write_text(peres_scenario_text())
+    path.write_text(families.peres24())
     return path
 
 
@@ -234,91 +181,16 @@ def peres24(peres24_path):
     return scenario_category(peres24_path.read_text())
 
 
-# --- Mermin's star and the Kernaghan-Peres set -------------------------------
-
-_PAULI = {
-    "I": matrix([[1, 0], [0, 1]]),
-    "X": matrix([[0, 1], [1, 0]]),
-    "Y": matrix([[0, QC(Fraction(0), Fraction(-1))], [QC(Fraction(0), Fraction(1)), 0]]),
-}
-
-# Mermin's star (PRL 65, 3373, 1990): five lines of four commuting
-# three-qubit Pauli products, each product on two lines. The products on
-# the first line multiply to -I, on the others to +I, and the first three
-# products of each line are independent.
-MERMIN_LINES = [
-    ("XXX", "XYY", "YXY", "YYX"),
-    ("XII", "IXI", "IIX", "XXX"),
-    ("XII", "IYI", "IIY", "XYY"),
-    ("YII", "IXI", "IIY", "YXY"),
-    ("YII", "IYI", "IIX", "YYX"),
-]
-
-
-def _pauli_product(word: str):
-    m = ((QC_ONE,),)
-    for letter in word:
-        p = _PAULI[letter]
-        m = tuple(
-            tuple(x * y for x in row for y in prow) for row in m for prow in p
-        )
-    return m
-
-
-def mermin_bases():
-    """The eight joint eigenvectors of each line: for each sign pattern,
-    the first nonzero column of the product of (I +- O_k) over the line's
-    first three products, divided by the gcd of its integer parts, so every
-    entry is 0, +-1 or +-i."""
-    ident = identity_matrix(8)
-    bases = []
-    for line in MERMIN_LINES:
-        products = [_pauli_product(word) for word in line[:3]]
-        basis = []
-        for signs in itertools.product((1, -1), repeat=3):
-            m = ident
-            for sign, o in zip(signs, products):
-                m = mat_mul(m, mat_add(ident, tuple(tuple(e * sign for e in row) for row in o)))
-            col = next(c for c in zip(*m) if not is_zero_vector(c))
-            g = math.gcd(*(int(x) for e in col for x in (e.re, e.im)))
-            basis.append(tuple(e / g for e in col))
-        bases.append(basis)
-    return bases
-
-
-def kernaghan_peres_bases():
-    """Every eight mutually orthogonal rays among the star's 40 (Kernaghan
-    and Peres, Phys. Lett. A 198, 1, 1995), in lexicographic ray order."""
-    rays = [v for basis in mermin_bases() for v in basis]
-    n = len(rays)
-    orth = [
-        sum(1 << j for j in range(n) if j != i and inner(rays[i], rays[j]).is_zero())
-        for i in range(n)
-    ]
-    found = []
-
-    def grow(chosen, candidates):
-        if len(chosen) == 8:
-            found.append([rays[i] for i in chosen])
-            return
-        for j in range(n):
-            if candidates >> j & 1:
-                grow(chosen + [j], candidates & orth[j] & ~((2 << j) - 1))
-
-    grow([], (1 << n) - 1)
-    return found
-
-
 @pytest.fixture(scope="session")
 def mermin_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("mermin") / "mermin_star.scn"
-    path.write_text(bases_scenario_text("line", mermin_bases()))
+    path.write_text(families.mermin_star())
     return path
 
 
 @pytest.fixture(scope="session")
 def kernaghan_peres_text():
-    return bases_scenario_text("kp", kernaghan_peres_bases())
+    return families.kernaghan_peres()
 
 
 @pytest.fixture(scope="session")

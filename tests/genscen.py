@@ -124,28 +124,6 @@ def _build_once(seed: int) -> GeneratedScenario:
     return GeneratedScenario(seed, dim, ops, category, states)
 
 
-def _entry_text(re: int, im: int) -> str:
-    if not im:
-        return str(re)
-    if not re:
-        return f"{im}i"
-    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
-
-
-def scenario_text(scn: GeneratedScenario) -> str:
-    """A closed ``.scn`` file declaring the scenario's operators, in order."""
-    lines = [f"DIM {scn.dim}"]
-    for op in scn.operators:
-        lines.append(f"OPERATOR {op.name}")
-        for value, vecs in zip(op.spectrum, op.vectors):
-            rays = ", ".join(
-                "(" + ", ".join(map(_entry_text, re, im)) + ")" for re, im in vecs
-            )
-            lines.append(f"EIGENVALUE {value} : {rays}")
-    lines.append("CLOSE on")
-    return "\n".join(lines) + "\n"
-
-
 def random_closed_scenario(seed: int) -> GeneratedScenario:
     attempt = seed
     while True:

@@ -52,15 +52,6 @@ def bundled_fixture(name: str) -> Path:
     return path
 
 
-def perfbench_json(script: str, *args: str):
-    """What ``script``, run inside ``perfbench/`` with ``args``, prints as JSON."""
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        cwd=PERFBENCH, capture_output=True, text=True, check=True, timeout=120,
-    )
-    return json.loads(done.stdout)
-
-
 # Prints the seed, name and text of every input of one workload, seeds 1-3.
 _BENCH_INPUTS_SCRIPT = """
 import json, sys, workloads
@@ -74,7 +65,11 @@ print(json.dumps([
 
 def bench_inputs(workload: str) -> list[tuple[int, str, str]]:
     """``(seed, filename, text)`` of every input of ``workload``, seeds 1-3."""
-    return [tuple(entry) for entry in perfbench_json(_BENCH_INPUTS_SCRIPT, workload)]
+    done = subprocess.run(
+        [sys.executable, "-c", _BENCH_INPUTS_SCRIPT, workload],
+        cwd=PERFBENCH, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return [tuple(entry) for entry in json.loads(done.stdout)]
 
 
 def _reports(group: str, inputs, commands) -> dict[str, str]:

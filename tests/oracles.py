@@ -528,25 +528,6 @@ def norm_sq(v: Vector) -> Fraction:
     return value.re
 
 
-def format_complex(value: QC) -> str:
-    """A complex entry in the scenario grammar, which parses back to ``value``."""
-    if not value.im:
-        return str(value.re)
-    if not value.re:
-        if value.im == 1:
-            return "i"
-        if value.im == -1:
-            return "-i"
-        return f"{value.im}i"
-    sign = "+" if value.im > 0 else "-"
-    return f"{value.re}{sign}{abs(value.im)}i"
-
-
-def format_vector(v: Vector) -> str:
-    """A vector in the scenario grammar, which parses back to ``v``."""
-    return "(" + ", ".join(format_complex(e) for e in v) + ")"
-
-
 def dense_mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The matrix product, summing every term."""
     return tuple(

@@ -19,29 +19,11 @@ from sievelogic.scenario import (
 )
 from sievelogic.spectral import _overlaps
 
-from conftest import (
-    PERFBENCH,
-    bundled_fixture,
-    category_shape,
-    perfbench_json,
-    scenario_category,
-)
+from conftest import category_shape, scenario_category
+from golden import PERFBENCH, WORKLOAD_SUBCOMMAND, bench_inputs, bundled_fixture
 from oracles import endpoint_table, matrix_operator_category, max_search_order
 
 ROOT = PERFBENCH.parent
-
-# Prints the text of every scenario file the four workloads write, seeds 1-3.
-_SCENARIOS_SCRIPT = """
-import json, workloads
-print(json.dumps([
-    req.text
-    for name in workloads.WORKLOADS
-    for seed in (1, 2, 3)
-    for req in workloads.generate(name, seed)
-    if req.filename.endswith(".scn")
-]))
-"""
-
 _FIXTURES = ["sigma_z.scn", "sigma_zx.scn", "cabello18.scn", "sierpinski.top", "vposet.top"]
 
 
@@ -59,7 +41,8 @@ def test_smoke_workload_runs_clean():
 
 @pytest.fixture(scope="module")
 def bench_scenarios():
-    return [parse_scenario(text) for text in perfbench_json(_SCENARIOS_SCRIPT)]
+    return [parse_scenario(text) for workload in WORKLOAD_SUBCOMMAND
+            for _, name, text in bench_inputs(workload) if name.endswith(".scn")]
 
 
 def test_bench_inputs_pass_closure_guard(bench_scenarios):

@@ -14,8 +14,8 @@ from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
 
-from conftest import bundled_fixture, peres_bases
-from genscen import scenario_text
+from conftest import bundled_fixture
+from families import IMAG, chain, diagonal, fan, peres_bases, scenario_text
 from oracles import (
     backtrack_section_search,
     count_one_per_basis_colorings,
@@ -46,6 +46,12 @@ def human_dict(output: str) -> dict:
             key, _, value = line.partition(": ")
             pairs[key] = value
     return pairs
+
+
+def written(path: Path, text: str) -> str:
+    """``path``, as a string, once ``text`` is written to it."""
+    path.write_text(text)
+    return str(path)
 
 
 SIGMA_Z = str(bundled_fixture("sigma_z.scn"))
@@ -407,17 +413,6 @@ def test_ks_search_peres24(peres24_path, peres24):
     assert 10 * int(rec["work.nodes"]) <= reference.nodes
 
 
-def diagonal_scenario(tmp_path, levels: int, close: bool) -> str:
-    lines = [f"DIM {levels}", "OPERATOR diag"]
-    for i in range(levels):
-        ray = ", ".join("1" if j == i else "0" for j in range(levels))
-        lines.append(f"EIGENVALUE {i + 1} : ({ray})")
-    lines.append("CLOSE on" if close else "CLOSE off")
-    path = tmp_path / f"diag{levels}.scn"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 # objects, arrows, sections, work.nodes and work.prunes of each input.
 AT_SCALE = {
     "kernaghan_peres": ("5197", "27109", "0", "473", "64"),
@@ -432,12 +427,11 @@ def test_ks_search_at_scale(request, tmp_path, which):
     # for Kernaghan-Peres and the 12-level diagonal with the quadratic
     # order and a copy of every domain per node.
     if which == "kernaghan_peres":
-        path = tmp_path / "kp.scn"
-        path.write_text(request.getfixturevalue("kernaghan_peres_text"))
+        path = written(tmp_path / "kp.scn", request.getfixturevalue("kernaghan_peres_text"))
     elif which == "mermin_star":
         path = request.getfixturevalue("mermin_path")
     else:
-        path = diagonal_scenario(tmp_path, 12, True)
+        path = written(tmp_path / "diag12.scn", diagonal(12, True))
     code, out = run_cli("ks-search", str(path), "--format", "record")
     assert code == 0
     rec = record_dict(out)
@@ -447,7 +441,8 @@ def test_ks_search_at_scale(request, tmp_path, which):
 
 
 def test_category_diag9_one_object_one_arrow(tmp_path):
-    code, out = run_cli("category", diagonal_scenario(tmp_path, 9, False), "--format", "record")
+    path = written(tmp_path / "diag9.scn", diagonal(9, False))
+    code, out = run_cli("category", path, "--format", "record")
     assert code == 0
     rd = record_dict(out)
     assert (rd["objects"], rd["arrows"]) == ("1", "1")
@@ -458,7 +453,8 @@ def test_category_diag9_one_object_one_arrow(tmp_path):
 def test_category_21_levels_exits_3(tmp_path, close):
     # Only question closure grows exponentially with the levels: the
     # unclosed operator is one object, the closed one trips the guard.
-    code, out = run_cli("category", diagonal_scenario(tmp_path, 21, close), "--format", "record")
+    path = written(tmp_path / "diag21.scn", diagonal(21, close))
+    code, out = run_cli("category", path, "--format", "record")
     rd = record_dict(out)
     if not close:
         assert code == 0
@@ -474,32 +470,15 @@ def test_category_21_levels_exits_3(tmp_path, close):
 def test_category_closed_diag5_reports_the_sieve_cap(tmp_path):
     # 33 arrows out of the 5-level operator trip the sieve enumeration cap;
     # the guard line names that cap, not the --guard node budget.
-    code, out = run_cli("category", diagonal_scenario(tmp_path, 5, True))
+    code, out = run_cli("category", written(tmp_path / "diag5.scn", diagonal(5, True)))
     assert code == 3
     rd = human_dict(out)
     assert rd["detail"] == "object 'diag' has 33 outgoing arrows; sieve enumeration is capped at 20"
     assert rd["guard"] == "20"
 
 
-def fan_scenario(tmp_path) -> str:
-    """A 6-level diagonal operator D and 11 distinct yes/no coarse-grainings
-    of it, unclosed: 12 arrows out of D, 2^11 + 1 sieves on it."""
-    def ray(i):
-        return "(" + ", ".join("1" if j == i else "0" for j in range(6)) + ")"
-    lines = ["DIM 6", "OPERATOR D"]
-    lines += [f"EIGENVALUE {i + 1} : {ray(i)}" for i in range(6)]
-    blocks = [{i} for i in range(6)] + [{0, j} for j in range(1, 6)]
-    for k, block in enumerate(blocks):
-        lines.append(f"OPERATOR Q{k}")
-        lines.append("EIGENVALUE 0 : " + ", ".join(ray(i) for i in range(6) if i not in block))
-        lines.append("EIGENVALUE 1 : " + ", ".join(ray(i) for i in sorted(block)))
-    path = tmp_path / "fan11.scn"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def test_heyting_table_guard_exits_3(tmp_path):
-    path = fan_scenario(tmp_path)
+    path = written(tmp_path / "fan11.scn", fan())
     code, out = run_cli("category", path, "--format", "record")
     assert code == 0
     assert record_dict(out)["object.0.sieves"] == "2049"
@@ -515,7 +494,7 @@ def test_heyting_table_guard_exits_3(tmp_path):
 
 
 def test_heyting_table_guard_names_no_sieve(tmp_path, monkeypatch):
-    path = fan_scenario(tmp_path)
+    path = written(tmp_path / "fan11.scn", fan())
     expected = run_cli("heyting", path)
     assert expected[0] == 3
 
@@ -526,21 +505,11 @@ def test_heyting_table_guard_names_no_sieve(tmp_path, monkeypatch):
     assert run_cli("heyting", path) == expected
 
 
-def chain_topology(tmp_path, n, first=0):
-    """A file of n points whose opens are the first k points, for k from
-    ``first`` to n: a topology for first=0, none without the empty set."""
-    points = [f"p{i}" for i in range(n)]
-    lines = ["POINTS " + " ".join(points)]
-    lines.extend("OPEN " + " ".join(points[:k]) for k in range(first, n + 1))
-    path = tmp_path / f"chain{n}.top"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def test_heyting_table_guard_exits_3_on_a_chain_topology(tmp_path):
     # 1,025 nested opens trip the table guard, 1,050,625 cells, before any
     # topology law is checked.
-    code, out = run_cli("heyting", chain_topology(tmp_path, 1024), "--format", "record")
+    path = written(tmp_path / "chain1024.top", chain(1024))
+    code, out = run_cli("heyting", path, "--format", "record")
     assert code == 3
     rd = record_dict(out)
     assert rd["error"] == "SizeLimitExceeded"
@@ -555,7 +524,7 @@ def test_heyting_table_guard_comes_before_the_topology_laws(tmp_path, monkeypatc
     def refuse(points, opens):
         raise AssertionError("topology laws checked past a tripped table guard")
 
-    path = chain_topology(tmp_path, 1024)
+    path = written(tmp_path / "chain1024.top", chain(1024))
     monkeypatch.setattr(heyting, "_open_masks", refuse)
     assert run_cli("heyting", path, "--format", "record") == (3, (
         f"command heyting\nscenario {path}\nerror SizeLimitExceeded\n"
@@ -566,7 +535,8 @@ def test_heyting_table_guard_comes_before_the_topology_laws(tmp_path, monkeypatc
 
 def test_heyting_non_topology_over_the_table_guard_exits_3(tmp_path):
     # 1,025 opens without the empty set: the guard trips before the laws.
-    code, out = run_cli("heyting", chain_topology(tmp_path, 1025, first=1), "--format", "record")
+    path = written(tmp_path / "chain1025.top", chain(1025, first=1))
+    code, out = run_cli("heyting", path, "--format", "record")
     assert code == 3
     assert record_dict(out)["detail"] == (
         "heyting table: topology on 1025 points has 1025 elements, so 1050625 "
@@ -818,13 +788,15 @@ def test_heyting_report_matches_reference_on_fixtures(monkeypatch, name):
 
 def test_heyting_report_matches_reference_on_generated(monkeypatch, tmp_path, generated_scenarios):
     for g in generated_scenarios:
-        path = tmp_path / f"generated{g.seed}.scn"
-        path.write_text(scenario_text(g))
-        assert_heyting_matches_reference(monkeypatch, str(path))
+        operators = [(op.name, [(value, [[r + i * IMAG for r, i in zip(*v)] for v in vs])
+                                for value, vs in zip(op.spectrum, op.vectors)])
+                     for op in g.operators]
+        path = written(tmp_path / f"generated{g.seed}.scn", scenario_text(g.dim, operators, True))
+        assert_heyting_matches_reference(monkeypatch, path)
 
 
 def test_heyting_report_matches_reference_on_a_chain_topology(monkeypatch, tmp_path):
-    assert_heyting_matches_reference(monkeypatch, chain_topology(tmp_path, 64))
+    assert_heyting_matches_reference(monkeypatch, written(tmp_path / "chain64.top", chain(64)))
 
 
 def test_heyting_report_matches_reference_on_bench_inputs(

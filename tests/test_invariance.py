@@ -19,7 +19,8 @@ from sievelogic.exact import conj_transpose, identity_matrix
 from sievelogic.scenario import parse_scenario, parse_vector
 
 from golden import SUBCOMMANDS, bundled_fixture
-from oracles import cayley_unitary, dense_mat_mul, dense_mat_vec, format_vector
+from families import format_vector
+from oracles import cayley_unitary, dense_mat_mul, dense_mat_vec
 
 
 def rotated_scenario(text: str, u) -> str:

@@ -17,9 +17,8 @@ import pytest
 from sievelogic.cli import main
 from sievelogic.scenario import ParseError, parse_scenario
 
-from conftest import bundled_fixture
+from golden import SUBCOMMANDS, bundled_fixture
 
-SUBCOMMANDS = ["validate", "category", "valuate", "ks-search", "heyting"]
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_limit = pytest.mark.skipif(not LIMIT, reason="the interpreter has no int-string limit")
 

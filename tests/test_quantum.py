@@ -69,9 +69,9 @@ from conftest import (
     bundled_fixture,
     category_shape,
     diagonal_operator,
-    mermin_bases,
     scenario_category,
 )
+from families import mermin_bases
 from genscen import random_orthogonal_basis
 from oracles import (
     endpoint_table,

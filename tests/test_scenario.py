@@ -22,7 +22,7 @@ from sievelogic.scenario import (
 )
 
 from conftest import bundled_fixture
-from oracles import format_complex, format_vector
+from families import format_complex, format_vector, scenario_text
 
 
 # --- number grammar ----------------------------------------------------------
@@ -119,6 +119,12 @@ def test_parse_scenario_good():
     assert scn.close_under_questions
     assert scn.queries[0].delta == (F(1), F(-1))
     validate_scenario(scn, scenario_operators(scn))
+
+
+def test_scenario_text_writes_states_close_and_queries_in_order():
+    operators = [("z", [(1, [(1, 0)]), (-1, [(0, 1)])])]
+    text = scenario_text(2, operators, True, [("plus", (1, 1))], [("plus", "z", (1, -1))])
+    assert "\n" + text == GOOD.replace("\n# comment", "")
 
 
 def test_degenerate_eigenvalue_vectors():
