@@ -195,13 +195,16 @@ def _table_pairs(prefix: str, table: HeytingAlgebraTable, label) -> Pairs:
     pairs.extend((f"{prefix}.element.{i}", label(el)) for i, el in enumerate(els))
     pairs.append((f"{prefix}.zero", str(table.zero_index)))
     pairs.append((f"{prefix}.one", str(table.one_index)))
+    # Every cell is an element index: render each index once per table.
+    index = [str(k) for k in range(len(els))]
     for op_name, rows in (
         ("meet", table.meet_rows), ("join", table.join_rows), ("implies", table.implies_rows)
     ):
         pairs.extend(
-            (f"{prefix}.{op_name}.{i}", ",".join(map(str, row))) for i, row in enumerate(rows)
+            (f"{prefix}.{op_name}.{i}", ",".join([index[k] for k in row]))
+            for i, row in enumerate(rows)
         )
-    pairs.append((f"{prefix}.not", ",".join(map(str, table.not_row))))
+    pairs.append((f"{prefix}.not", ",".join([index[k] for k in table.not_row])))
     violations = excluded_middle_violations(table)
     pairs.append((f"{prefix}.excluded_middle_violations", str(len(violations))))
     for i, el in enumerate(violations):

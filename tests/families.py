@@ -56,12 +56,16 @@ def topology_text(points, opens) -> str:
     return "\n".join(["POINTS " + " ".join(points)] + ["OPEN " + " ".join(o) for o in opens]) + "\n"
 
 
-def _bases_text(prefix: str, bases, states=()) -> str:
-    """One operator per basis, ``prefix`` and its index, with eigenvalue
-    k + 1 on its k-th vector, closed under questions."""
-    operators = [(f"{prefix}{b}", [(k + 1, [v]) for k, v in enumerate(basis)])
-                 for b, basis in enumerate(bases)]
+def _bases_text(names, bases, states=()) -> str:
+    """One operator per basis, named from ``names`` in order, with
+    eigenvalue k + 1 on its k-th vector, closed under questions."""
+    operators = [(name, [(k + 1, [v]) for k, v in enumerate(basis)])
+                 for name, basis in zip(names, bases)]
     return scenario_text(len(bases[0][0]), operators, True, states)
+
+
+def _numbered(prefix: str):
+    return (f"{prefix}{b}" for b in itertools.count())
 
 
 def _unit(n: int, i: int) -> list[int]:
@@ -100,6 +104,16 @@ def fan() -> str:
     return scenario_text(6, operators)
 
 
+def qubits(n: int, closed: bool) -> str:
+    """n operators ``o<k>`` in dimension 2, each with eigenvalue 1 on (a, b)
+    and 2 on (-b, a), where (a, b) is the k-th coprime pair of positive
+    integers, ordered by a + b and then by a. ``closed`` adds ``CLOSE on``."""
+    pairs = ((a, s - a) for s in itertools.count(2) for a in range(1, s) if math.gcd(a, s - a) == 1)
+    operators = [(f"o{k}", [(1, [(a, b)]), (2, [(-b, a)])])
+                 for k, (a, b) in enumerate(itertools.islice(pairs, n))]
+    return scenario_text(2, operators, True if closed else None)
+
+
 def chain(n: int, first: int = 0) -> str:
     """n points whose opens are the first k points, for k from ``first`` to
     n: a topology for first=0, none without the empty set."""
@@ -129,10 +143,13 @@ def peres_bases() -> list[tuple[int, ...]]:
 
 def peres24() -> str:
     rays = _peres_rays()
-    return _bases_text("peres", [[rays[r] for r in quad] for quad in peres_bases()])
+    return _bases_text(_numbered("peres"), [[rays[r] for r in quad] for quad in peres_bases()])
 
 
-_PAULI = {"I": ((1, 0), (0, 1)), "X": ((0, 1), (1, 0)), "Y": ((0, -IMAG), (IMAG, 0))}
+_PAULI = {
+    "I": ((1, 0), (0, 1)), "X": ((0, 1), (1, 0)),
+    "Y": ((0, -IMAG), (IMAG, 0)), "Z": ((1, 0), (0, -1)),
+}
 
 # Mermin's star (PRL 65, 3373, 1990): five lines of four commuting
 # three-qubit Pauli products, each product on two lines. The products on
@@ -154,17 +171,20 @@ def _pauli_product(word: str):
     return m
 
 
-def mermin_bases():
-    """The eight joint eigenvectors of each line: for each sign pattern,
-    the first nonzero column of the product of (I +- O_k) over the line's
-    first three products, divided by the gcd of its integer parts, so every
-    entry is 0, +-1 or +-i."""
-    ident = identity_matrix(8)
+def _joint_bases(lines):
+    """The joint eigenvectors of each line of independent commuting Pauli
+    products: for each sign pattern, in ``itertools.product`` order, the
+    first nonzero column of the product of (I +- O_k) over the line,
+    divided by the gcd of its integer parts, so every entry is 0, +-1 or
+    +-i. On a line of one-qubit observables, such as (XII, IYI, IIY), that
+    is the Kronecker product of their eigenvectors: (1, +-1) for X, (1, +-i)
+    for Y, and (1, 0) and (0, 1) for Z."""
     bases = []
-    for line in MERMIN_LINES:
-        products = [_pauli_product(word) for word in line[:3]]
+    for line in lines:
+        ident = identity_matrix(2 ** len(line[0]))
+        products = [_pauli_product(word) for word in line]
         basis = []
-        for signs in itertools.product((1, -1), repeat=3):
+        for signs in itertools.product((1, -1), repeat=len(line)):
             m = ident
             for sign, o in zip(signs, products):
                 m = mat_mul(m, mat_add(ident, tuple(tuple(e * sign for e in row) for row in o)))
@@ -175,8 +195,14 @@ def mermin_bases():
     return bases
 
 
+def mermin_bases():
+    """The joint eigenbasis of each line of the star, from its first three
+    products."""
+    return _joint_bases([line[:3] for line in MERMIN_LINES])
+
+
 def mermin_star() -> str:
-    return _bases_text("line", mermin_bases())
+    return _bases_text(_numbered("line"), mermin_bases())
 
 
 def kernaghan_peres() -> str:
@@ -198,13 +224,61 @@ def kernaghan_peres() -> str:
                 grow(chosen + [j], candidates & orth[j] & ~((2 << j) - 1))
 
     grow([], (1 << n) - 1)
-    return _bases_text("kp", bases)
+    return _bases_text(_numbered("kp"), bases)
+
+
+def _local_text(words, states) -> str:
+    """One operator per word of one-qubit observables, named by the word in
+    lower case, with eigenvalue k + 1 on the Kronecker product of the local
+    eigenvectors for the k-th sign tuple, closed under questions."""
+    n = len(words[0])
+    lines = [[q * "I" + p + (n - q - 1) * "I" for q, p in enumerate(word)] for word in words]
+    return _bases_text([word.lower() for word in words], _joint_bases(lines), states)
+
+
+def ghz() -> str:
+    """XXX, XYY, YXY and YYX measured qubit by qubit, the four lines of
+    one-qubit products of Mermin's star, with the GHZ state and |000>."""
+    return _local_text(["XXX", "XYY", "YXY", "YYX"],
+                       [("ghz", (1, 0, 0, 0, 0, 0, 0, 1)), ("zero", (1, 0, 0, 0, 0, 0, 0, 0))])
+
+
+def hardy() -> str:
+    """ZZ, ZX, XZ and XX measured qubit by qubit, with Hardy's state, a Bell
+    state and |00>."""
+    return _local_text(["ZZ", "ZX", "XZ", "XX"],
+                       [("hardy", (1, 1, 1, 0)), ("bell", (1, 0, 0, 1)), ("prod", (1, 0, 0, 0))])
+
+
+def integer_rays(m: int) -> str:
+    """One operator ``b<i>`` per orthogonal basis of the primitive integer
+    rays of dimension 3 with entries in [-m, m]. A ray is reduced by the gcd
+    of its entries and its first nonzero entry is positive; rays are sorted.
+    Each orthogonal pair of rays whose cross product, reduced, is a ray
+    gives a basis: its three ray indices, sorted. Bases are sorted."""
+    def reduced(v):
+        g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+        return tuple(x // g for x in v)
+
+    rays = sorted({reduced(v) for v in itertools.product(range(-m, m + 1), repeat=3) if any(v)})
+    index = {r: i for i, r in enumerate(rays)}
+    bases = set()
+    for i, j in itertools.combinations(range(len(rays)), 2):
+        (a, b, c), (d, e, f) = rays[i], rays[j]
+        if a * d + b * e + c * f == 0:
+            k = index.get(reduced((b * f - c * e, c * d - a * f, a * e - b * d)))
+            if k is not None:
+                bases.add(tuple(sorted((i, j, k))))
+    return _bases_text(_numbered("b"), [[rays[r] for r in basis] for basis in sorted(bases)])
 
 
 FAMILIES = {f.__name__: f for f in (
-    diagonal, antichain, fan, chain, peres24, mermin_star, kernaghan_peres,
+    diagonal, antichain, fan, qubits, chain, peres24, mermin_star, kernaghan_peres, ghz, hardy,
+    integer_rays,
 )}
 
 if __name__ == "__main__":
+    if len(sys.argv) < 2 or sys.argv[1] not in FAMILIES:
+        sys.exit(f"usage: families.py {{{','.join(FAMILIES)}}} [ARGS]")
     name, *args = sys.argv[1:]
     sys.stdout.write(FAMILIES[name](*map(ast.literal_eval, args)))

@@ -1,8 +1,9 @@
 """Report bytes pinned by digest, with nothing but the standard library.
 
 ``golden_reports.json`` holds the SHA-256 of every report in both formats:
-all five subcommands on each bundled fixture, whatever the exit code, and
-each seed 1-3 perfbench input under its own workload's subcommand. Each
+all five subcommands on each bundled fixture, whatever the exit code, each
+seed 1-3 perfbench input under its own workload's subcommand, and
+``ks-search`` on the families of ``FAMILY_INPUTS``. Each
 report is rendered with the bare file name as its path, so the
 ``scenario`` line does not depend on where the file sits.
 
@@ -30,6 +31,8 @@ from pathlib import Path
 
 import sievelogic
 from sievelogic.cli import main
+
+import families
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
@@ -100,6 +103,21 @@ def _fixture_inputs() -> list[tuple[int, str, str]]:
     return [(0, name, bundled_fixture(name).read_text(encoding="utf-8")) for name in FIXTURES]
 
 
+# The families that no fixture or workload covers, at the sizes whose
+# counts tests/test_cli.py::AT_SCALE pins.
+FAMILY_INPUTS = {
+    "qubits8": lambda: families.qubits(8, False),
+    "qubits8_closed": lambda: families.qubits(8, True),
+    "ghz": families.ghz,
+    "hardy": families.hardy,
+    "integer_rays5": lambda: families.integer_rays(5),
+}
+
+
+def _family_inputs() -> list[tuple[int, str, str]]:
+    return [(0, f"{name}.scn", text()) for name, text in FAMILY_INPUTS.items()]
+
+
 def _golden(group: str) -> dict[str, str]:
     table = json.loads(GOLDEN.read_text())
     return {k: v for k, v in table.items() if k.split(" ", 1)[0] == group}
@@ -113,6 +131,7 @@ def _all_digests() -> dict[str, str]:
         os.chdir(directory)
         try:
             table.update(_digests("fixtures", _fixture_inputs(), SUBCOMMANDS))
+            table.update(_digests("families", _family_inputs(), ["ks-search"]))
             for workload, command in sorted(WORKLOAD_SUBCOMMAND.items()):
                 table.update(_digests(workload, bench_inputs(workload), [command]))
         finally:

@@ -16,6 +16,7 @@ from sievelogic.quantum import dual_presheaf
 
 from conftest import bundled_fixture
 from families import IMAG, chain, diagonal, fan, peres_bases, scenario_text
+from golden import FAMILY_INPUTS
 from oracles import (
     backtrack_section_search,
     count_one_per_basis_colorings,
@@ -418,6 +419,11 @@ AT_SCALE = {
     "kernaghan_peres": ("5197", "27109", "0", "473", "64"),
     "mermin_star": ("1257", "6289", "0", "2664", "64"),
     "diag12": ("4097", "20477", "12", "49164", "0"),
+    "qubits8": ("8", "8", "256", "510", "0"),
+    "qubits8_closed": ("26", "124", "256", "1534", "0"),
+    "ghz": ("1010", "5048", "64", "60456", "0"),
+    "hardy": ("54", "264", "16", "580", "0"),
+    "integer_rays5": ("1110", "5766", "0", "1614", "792"),
 }
 
 
@@ -430,8 +436,10 @@ def test_ks_search_at_scale(request, tmp_path, which):
         path = written(tmp_path / "kp.scn", request.getfixturevalue("kernaghan_peres_text"))
     elif which == "mermin_star":
         path = request.getfixturevalue("mermin_path")
-    else:
+    elif which == "diag12":
         path = written(tmp_path / "diag12.scn", diagonal(12, True))
+    else:
+        path = written(tmp_path / f"{which}.scn", FAMILY_INPUTS[which]())
     code, out = run_cli("ks-search", str(path), "--format", "record")
     assert code == 0
     rec = record_dict(out)

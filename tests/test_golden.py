@@ -15,6 +15,7 @@ from golden import (
     SUBCOMMANDS,
     WORKLOAD_SUBCOMMAND,
     _digests,
+    _family_inputs,
     _fixture_inputs,
     _golden,
     _reports,
@@ -25,6 +26,11 @@ from golden import (
 def test_bundled_fixture_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _digests("fixtures", _fixture_inputs(), SUBCOMMANDS) == _golden("fixtures")
+
+
+def test_family_reports(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digests("families", _family_inputs(), ["ks-search"]) == _golden("families")
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SUBCOMMAND))
