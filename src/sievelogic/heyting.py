@@ -213,37 +213,35 @@ class HeytingAlgebraTable(Frozen):
         return MappingProxyType({x: els[k] for x, k in zip(els, self.not_row)})
 
 
-class _Implied(dict):
-    """Bad mask ``m1 & ~m2`` -> index of ``m1 => m2``, filled on first
-    lookup: the complement of the closure of the bad mask, the union of
-    ``below[j]`` over its bits ``j``. The closure is reflexive and
-    transitive, so a bit already in the union adds nothing and is skipped."""
-
-    def __init__(self, below: list[int], pos: dict[int, int]):
-        super().__init__()
-        self.below, self.pos, self.full = below, pos, (1 << len(below)) - 1
-
-    def __missing__(self, bad: int) -> int:
-        hit, rest = 0, bad
-        while rest:
-            hit |= self.below[(rest & -rest).bit_length() - 1]
-            rest &= ~hit
-        k = self[bad] = self.pos[self.full ^ hit]
-        return k
-
-
 def _mask_table(elements: tuple, masks: list[int], below: list[int]) -> HeytingAlgebraTable:
     """The table of ``elements``, each given by its bit mask, where the
     masks are closed under ``&``, ``|`` and the implication that the closure
-    table ``below`` gives (see ``_Implied``). Every cell is found by its mask."""
+    table ``below`` gives. Meet and join cells are found by their masks.
+
+    ``m1 => m2`` equals ``m1 => (m1 & m2)``, so each implies row is found
+    once per distinct meet ``k`` in the meet row: the complement of the
+    closure of ``m1 & ~m2``, which is ``m1 ^ masks[k]``. The closure is the
+    union of ``below[j]`` over its bits ``j``; it is reflexive and
+    transitive, so a bit already in the union adds nothing and is skipped.
+    """
     pos = {m: i for i, m in enumerate(masks)}
-    implied = _Implied(below, pos)
-    meet = tuple(tuple([pos[m1 & m2] for m2 in masks]) for m1 in masks)
+    full = (1 << len(below)) - 1
+    meet, implies = [], []
+    for m1 in masks:
+        row = [pos[m1 & m2] for m2 in masks]
+        implied = {}
+        for k in set(row):
+            hit, rest = 0, m1 ^ masks[k]
+            while rest:
+                hit |= below[(rest & -rest).bit_length() - 1]
+                rest &= ~hit
+            implied[k] = pos[full ^ hit]
+        meet.append(tuple(row))
+        implies.append(tuple(map(implied.__getitem__, row)))
     join = tuple(tuple([pos[m1 | m2] for m2 in masks]) for m1 in masks)
-    implies = tuple(tuple([implied[m1 & ~m2] for m2 in masks]) for m1 in masks)
     zero = pos[0]
     return HeytingAlgebraTable(
-        elements, meet, join, implies, tuple(row[zero] for row in implies)
+        elements, tuple(meet), join, tuple(implies), tuple(row[zero] for row in implies)
     )
 
 

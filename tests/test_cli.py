@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sievelogic
-from sievelogic import cli, exact, fincat, heyting, quantum, scenario
+from sievelogic import cli, exact, fincat, heyting, presheaf, quantum, scenario, spectral, topos
 from sievelogic.cli import main
 from sievelogic.presheaf import global_section_search
 from sievelogic.quantum import dual_presheaf
@@ -259,6 +259,48 @@ def _z_category():
     )
 
 
+def _point():
+    return fincat.thin_category(["p"], [("p", "p")])
+
+
+def _terminal():
+    return topos.terminal_presheaf(_point())
+
+
+def _chain():
+    return fincat.thin_category(["p", "q"], [("p", "p"), ("q", "q"), ("p", "q")])
+
+
+def _built(arrows, identities=None, table=()):
+    """``build_category`` on the objects p and q, their identities and
+    ``arrows``."""
+    ids = [fincat.Arrow("id_p", "p", "p"), fincat.Arrow("id_q", "q", "q")]
+    return topos.build_category(
+        ["p", "q"], [*ids, *arrows], identities or {"p": "id_p", "q": "id_q"}, dict(table)
+    )
+
+
+def _unclassifying_arrow():
+    """A natural arrow from the terminal presheaf on p <= q into sieves that
+    are not the classifier: the principal sieve on p goes to the empty sieve
+    on q, so the elements sent to principal sieves are not closed."""
+    cat = _chain()
+    top, bottom = heyting.principal_sieve(cat, "p"), heyting.Sieve("q", frozenset())
+    sieves = topos.make_presheaf(cat, {"p": [top], "q": [bottom]}, {
+        "id_p": {top: top}, "id_q": {bottom: bottom}, "p->q": {top: bottom},
+    })
+    return topos.NaturalTransformation(
+        topos.terminal_presheaf(cat), sieves, {"p": {"*": top}, "q": {"*": bottom}}
+    )
+
+
+def _operator(spectrum, *projectors):
+    """Operator 'a' on ``projectors``, each given as rows of integers, unverified."""
+    return quantum.SpectralOperator("a", len(projectors[0]), spectrum, [
+        tuple(tuple(map(exact.QC.of, row)) for row in p) for p in projectors
+    ])
+
+
 # Refusals that no scenario or topology file reaches: the library's own.
 LIBRARY_REFUSALS = {
     "topology-without-points": (
@@ -282,6 +324,65 @@ LIBRARY_REFUSALS = {
     "float-as-fraction": (
         lambda: exact.as_fraction(1.5),
         TypeError, "expected int or Fraction, got float"),
+    "compose-foreign-arrow": (
+        lambda: topos.compose(_point(), fincat.Arrow("x", "p", "p"), _point().identity("p")),
+        fincat.UnknownArrow, "arrow 'x' does not belong to this category"),
+    "identity-not-an-arrow": (
+        lambda: _built([], {"p": "x", "q": "id_q"}),
+        fincat.MissingIdentity, "identity 'x' of 'p' is not an arrow"),
+    "identity-with-wrong-endpoints": (
+        lambda: _built([fincat.Arrow("f", "p", "q")], {"p": "id_p", "q": "f"}),
+        fincat.MissingIdentity, "identity 'f' of 'q' has endpoints 'p' -> 'q'"),
+    "table-names-unknown-arrow": (
+        lambda: _built([], table={("id_p", "h"): "id_p"}),
+        fincat.UnknownArrow, "composition table mentions unknown arrow 'h'"),
+    "composite-with-wrong-endpoints": (
+        lambda: _built([fincat.Arrow("e", "p", "p"), fincat.Arrow("f", "p", "q")],
+                       table={("f", "e"): "e"}),
+        fincat.CompositionDomainMismatch,
+        "composite of 'f' after 'e' must go 'p' -> 'q', got 'e': 'p' -> 'p'"),
+    "push-foreign-arrow": (
+        lambda: topos.push_sieve(_point(), fincat.Arrow("x", "p", "p"), heyting.Sieve("p", frozenset())),
+        fincat.UnknownArrow, "arrow 'x' does not belong to this category"),
+    "codomain-view-of-parallel-arrows": (
+        lambda: topos.codomain_view(
+            _built([fincat.Arrow("f", "p", "q"), fincat.Arrow("g", "p", "q")]),
+            heyting.Sieve("p", frozenset())),
+        fincat.NotAPoset, "codomain view requires a thin category"),
+    "natural-across-categories": (
+        lambda: topos.is_natural(topos.NaturalTransformation(
+            _terminal(), topos.terminal_presheaf(fincat.thin_category(["q"], [("q", "q")])), {})),
+        presheaf.ComponentDomainMismatch, "source and target live on different categories"),
+    "component-outside-target": (
+        lambda: topos.is_natural(topos.NaturalTransformation(
+            _terminal(), _terminal(), {"p": {"*": "x"}})),
+        presheaf.ComponentDomainMismatch, "component at 'p' does not land in the target set"),
+    "characteristic-arrow-of-non-subobject": (
+        lambda: topos.characteristic_arrow(topos.Subobject(
+            topos.make_presheaf(_point(), {"p": ["x"]}, {"id_p": {"x": "x"}}), _terminal())),
+        presheaf.NotASubobject, "subset inclusion fails at 'p'"),
+    "arrow-classifying-no-subobject": (
+        lambda: topos.subobject_from_arrow(_unclassifying_arrow()),
+        presheaf.NotNatural, "arrow does not classify a subobject (is the target the "
+        "sieve classifier?): not closed under 'p->q' at '*'"),
+    "repeated-eigenvalue": (
+        lambda: spectral.verify_spectral_operator(_operator([1, 1], [[1, 0], [0, 0]], [[0, 0], [0, 1]])),
+        quantum.DuplicateEigenvalue, "operator 'a' repeats an eigenvalue"),
+    "non-hermitian-projector": (
+        lambda: spectral.verify_spectral_operator(_operator([1], [[0, 1], [0, 0]])),
+        quantum.SpectralError, "operator 'a': projector of 1 not Hermitian"),
+    "non-idempotent-projector": (
+        lambda: spectral.verify_spectral_operator(_operator([1], [[2]])),
+        quantum.NotOrthogonal, "operator 'a': projector of 1 not idempotent"),
+    "zero-projector": (
+        lambda: spectral.verify_spectral_operator(_operator([1], [[0]])),
+        quantum.IncompleteBasis, "operator 'a': projector of 1 is zero"),
+    "projectors-short-of-identity": (
+        lambda: spectral.verify_spectral_operator(_operator([1], [[1, 0], [0, 0]])),
+        quantum.IncompleteBasis, "operator 'a': projectors do not sum to identity"),
+    "valuation-without-entry": (
+        lambda: spectral.SieveValuation(_z_category(), {}).value("z", [1]),
+        quantum.IncompleteValuation, "valuation has no entry for 'z' at [Fraction(1, 1)]"),
 }
 
 
@@ -291,6 +392,54 @@ def test_library_refusal(case):
     with pytest.raises(error) as caught:
         call()
     assert (type(caught.value), str(caught.value)) == (error, detail)
+
+
+def _off_arrow_section():
+    """A choice on p <= q that the map of p->q does not carry along."""
+    cat = _chain()
+    x = topos.make_presheaf(cat, {"p": ["x"], "q": ["x", "y"]}, {
+        "id_p": {"x": "x"}, "id_q": {"x": "x", "y": "y"}, "p->q": {"x": "y"},
+    })
+    return topos.check_global_section(x, presheaf.GlobalSection({"p": "x", "q": "x"}))
+
+
+# Failed checks that no report reaches: each call and the value it returns.
+LIBRARY_WITNESSES = {
+    "presheaf-without-element-set": (
+        lambda: topos.validate_presheaf(topos.make_presheaf(_point(), {}, {})),
+        topos.Check(False, "no element set for object 'p'")),
+    "presheaf-without-map": (
+        lambda: topos.validate_presheaf(topos.make_presheaf(_point(), {"p": ["*"]}, {})),
+        topos.Check(False, "no map for arrow 'id_p'")),
+    "presheaf-map-not-total": (
+        lambda: topos.validate_presheaf(topos.make_presheaf(_point(), {"p": ["*"]}, {"id_p": {}})),
+        topos.Check(False, "map of 'id_p' is not total on its domain")),
+    "presheaf-map-leaves-codomain": (
+        lambda: topos.validate_presheaf(
+            topos.make_presheaf(_point(), {"p": ["*"]}, {"id_p": {"*": "x"}})),
+        topos.Check(False, "map of 'id_p' leaves its codomain")),
+    "subobject-not-included": (
+        lambda: topos.validate_subobject(topos.Subobject(
+            topos.make_presheaf(_point(), {"p": ["x"]}, {"id_p": {"x": "x"}}), _terminal())),
+        topos.Check(False, "subset inclusion fails at 'p'")),
+    "subobject-map-not-restriction": (
+        lambda: topos.validate_subobject(topos.Subobject(
+            topos.make_presheaf(_point(), {"p": ["*"]}, {}), _terminal())),
+        topos.Check(False, "map of 'id_p' is not the restriction at '*'")),
+    "heyting-order-not-antisymmetric": (
+        # Every implication is the top, so a <= b and b <= a.
+        lambda: topos.validate_heyting_table(heyting.HeytingAlgebraTable(
+            ("a", "b"), ((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 1)), (1, 1))),
+        topos.Check(False, "leq not antisymmetric on 'a', 'b'")),
+    "section-off-an-arrow": (_off_arrow_section, False),
+}
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_WITNESSES))
+def test_library_witness(case):
+    call, expected = LIBRARY_WITNESSES[case]
+    got = call()
+    assert (type(got), got) == (type(expected), expected)
 
 
 # --- category ----------------------------------------------------------------
@@ -587,6 +736,19 @@ def test_heyting_sierpinski_flags():
     rec = record_dict(out)
     assert rec["topology.excluded_middle_violations"] == "1"
     assert rec["topology.excluded_middle_violation.0"] == "{a}"
+
+
+def test_heyting_one_element_topology(tmp_path):
+    # No points and one bare OPEN: the one-element algebra, zero equal to one.
+    path = written(tmp_path / "one.top", "POINTS\nOPEN\n")
+    code, out = run_cli("heyting", path, "--format", "record")
+    assert code == 0
+    assert out == (
+        f"command heyting\nscenario {path}\nkind topology\n"
+        "topology.elements 1\ntopology.element.0 {}\ntopology.zero 0\ntopology.one 0\n"
+        "topology.meet.0 0\ntopology.join.0 0\ntopology.implies.0 0\ntopology.not 0\n"
+        "topology.excluded_middle_violations 0\n"
+    )
 
 
 def test_heyting_discrete_no_flags(tmp_path):

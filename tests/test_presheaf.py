@@ -703,6 +703,17 @@ def test_enumeration_orders():
     ] == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 
 
+def test_section_order_on_tuples_and_other_elements():
+    # element_key orders by kind, numbers before the repr of anything it
+    # has no kind for, then strings, then tuples by their entries' keys;
+    # the sections of one object come in that order.
+    cat = poset_to_category(["p"], [])
+    elements = [(1, "a"), "s", 2.5, (0, "b"), None, 3]
+    x = make_presheaf(cat, {"p": elements}, {"id_p": {e: e for e in elements}})
+    got = [gs.choice["p"] for gs in global_section_search(x).sections]
+    assert got == [3, 2.5, None, "s", (0, "b"), (1, "a")]
+
+
 def test_enumerations_with_an_empty_target_set(chain2):
     x = two_point_fiber(chain2)
     y = make_presheaf(chain2, {"p": [], "q": ["c"]}, {"id_p": {}, "id_q": {"c": "c"}, "p->q": {}})

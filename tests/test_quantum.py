@@ -1029,6 +1029,17 @@ def test_func_check_equals_naturality(zx_closed):
     assert (not func_check(bad)) and (not is_natural(nt_bad).ok)
 
 
+def test_valuation_transformation_defaults_to_coarse_graining_and_omega(zx_closed):
+    from sievelogic.presheaf import omega_presheaf
+
+    valuation = nu_state_valuation(zx_closed, make_state([2, -1]))
+    nt = valuation_transformation(valuation)
+    assert nt == valuation_transformation(
+        valuation, coarse_graining_presheaf(zx_closed), omega_presheaf(zx_closed.base)
+    )
+    assert is_natural(nt)
+
+
 def test_func_check_along_pushforward_definition(sz_closed):
     valuation = nu_state_valuation(sz_closed, make_state([1, 1]))
     for arrow in sz_closed.base.arrows.values():
